@@ -25,7 +25,7 @@ from ..netsim import Direction
 from ..poc import LEGACY_LTE_CDR_BYTES, NegotiationDriver
 from ..workloads import CONGESTION_SWEEP_MBPS, WEBCAM_UDP
 from .parallel import run_scenarios
-from .runner import ScenarioResult, run_scenario
+from .runner import ScenarioResult, ScenarioRunner
 from .scenarios import ALL_APPS, FIG3_APPS, VRIDGE_DL, WEBCAM_UDP_UL, ScenarioConfig
 from .stats import Summary, cdf_points
 
@@ -137,13 +137,9 @@ def figure4(seed: int = 4, duration_s: float = 300.0, eta: float = 0.14) -> Figu
         outage_eta=eta,
         base_loss=0.01,
     )
-    runner_scenario = run_scenario(config)
-    usage = runner_scenario.usages[0]
-    # Rebuild per-second series from a fresh runner (counters are offline).
-    from .runner import ScenarioRunner
-
+    # One run: the per-second series read the same runner's counters.
     runner = ScenarioRunner(config)
-    runner.simulate()
+    usage = runner.run().usages[0]
     device = runner.device.dl_monitor.counter
     bearer = runner.network.bearers.by_flow(runner.flow_id)
     assert bearer is not None

@@ -33,6 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..cellular import HandoverConfig, QuotaPolicy, RadioProfile
+from ..core import DataPlan
 from ..netsim.faults import FAULT_PROFILES
 from ..obs import MetricsSnapshot
 from ..workloads import iperf_profile
@@ -113,6 +115,18 @@ class FleetConfig:
             raise ValueError(f"fleet needs at least one UE, got {self.ues}")
         if self.shard_size < 1:
             raise ValueError(f"shard size must be >= 1, got {self.shard_size}")
+        if self.n_cycles < 1:
+            raise ValueError(f"fleet needs at least one cycle, got {self.n_cycles}")
+        # The overrides land in every UE's config; building the objects
+        # they configure applies those objects' own bounds up front,
+        # instead of failing partway through the simulation.
+        DataPlan(cycle_duration_s=self.cycle_duration_s)
+        if self.outage_eta is not None:
+            RadioProfile.for_disconnectivity(self.outage_eta)
+        if self.handover_interval_s is not None:
+            HandoverConfig(interval_s=self.handover_interval_s)
+        if self.quota_bytes is not None:
+            QuotaPolicy(self.quota_bytes)
         unknown = [name for name in self.mix if name not in ARCHETYPES]
         if unknown or not self.mix:
             raise ValueError(

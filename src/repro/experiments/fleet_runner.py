@@ -8,7 +8,8 @@ a production deployment has.  Each UE gets its *own cell* (the paper's
 per-subscriber charging physics is per-radio-link; cross-UE air
 contention is a different experiment, available via the fleet config's
 ``background_mbps``), its own device/server endpoints, monitors, and
-workload.
+workload: a :class:`UeSession`, the per-UE stack that the single-UE
+:class:`~repro.experiments.runner.ScenarioRunner` is built on too.
 
 Determinism contract:
 
@@ -36,18 +37,35 @@ from ..cellular import (
     ENodeBConfig,
     HandoverConfig,
     HandoverProcess,
+    Imsi,
     NetworkConfig,
     QuotaPolicy,
+    RadioProfile,
     make_test_imsi,
 )
-from ..core import CycleUsage, DataPlan, SchemeOutcome
+from ..core import (
+    CycleUsage,
+    DataPlan,
+    HonestStrategy,
+    NegotiationEngine,
+    OptimalStrategy,
+    PartyKnowledge,
+    PartyRole,
+    RandomSelfishStrategy,
+    SchemeOutcome,
+)
 from ..edge import CounterCheckMonitor, EdgeDevice, EdgeServer
-from ..kernel import SETTLE_S, build_session_lane, resolve_kernel, run_lane
+from ..kernel import SETTLE_S, LaneSpec, build_session_lane, resolve_kernel, run_lane
 from ..netsim import Direction, EventLoop, FaultInjector, StreamRegistry
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..workloads import FrameWorkload
-from .runner import SCHEMES, evaluate_schemes
 from .scenarios import ScenarioConfig
+
+SCHEMES = ("legacy", "tlc-optimal", "tlc-random", "tlc-honest")
+
+#: Fixed bucket edges for the per-scheme negotiation-round histogram
+#: (Figure 16b's x-axis range); fixed so snapshots merge and compare.
+ROUND_EDGES = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0)
 
 #: Fixed bucket edges for the fleet's per-UE mean-gap histogram (MB/hr).
 #: Fixed so shard snapshots merge bit-deterministically regardless of the
@@ -82,36 +100,119 @@ class FleetShardResult:
     metrics: MetricsSnapshot
 
 
-class _UeSession:
-    """One subscriber's full stack inside a shard simulation."""
+def evaluate_schemes(
+    plan: DataPlan,
+    usages: list[CycleUsage],
+    neg_rng,
+    accept_tolerance: float,
+    max_rounds: int,
+    metrics: MetricsRegistry | None = None,
+) -> dict[str, list[SchemeOutcome]]:
+    """Run every charging scheme on every cycle of one flow.
+
+    ``neg_rng`` is the session's dedicated negotiation stream, so per-flow
+    results depend only on that stream's state, never on how many flows
+    share the simulation.
+    """
+    outcomes: dict[str, list[SchemeOutcome]] = {name: [] for name in SCHEMES}
+    for usage in usages:
+        expected = plan.expected_charge(usage.true_sent, usage.true_received)
+        outcomes["legacy"].append(
+            SchemeOutcome("legacy", usage.gateway_count, expected)
+        )
+        for scheme in ("tlc-optimal", "tlc-random", "tlc-honest"):
+            edge_know = PartyKnowledge(
+                PartyRole.EDGE, usage.edge_sent_record, usage.edge_received_estimate
+            )
+            op_know = PartyKnowledge(
+                PartyRole.OPERATOR,
+                usage.operator_received_record,
+                usage.operator_sent_estimate,
+            )
+            if scheme == "tlc-optimal":
+                edge = OptimalStrategy(edge_know, accept_tolerance=accept_tolerance)
+                operator = OptimalStrategy(op_know, accept_tolerance=accept_tolerance)
+            elif scheme == "tlc-honest":
+                edge = HonestStrategy(edge_know, accept_tolerance=accept_tolerance)
+                operator = HonestStrategy(op_know, accept_tolerance=accept_tolerance)
+            else:
+                edge = RandomSelfishStrategy(edge_know, neg_rng)
+                operator = RandomSelfishStrategy(op_know, neg_rng)
+            engine = NegotiationEngine(plan, edge, operator, max_rounds=max_rounds)
+            result = engine.run()
+            outcomes[scheme].append(
+                SchemeOutcome(scheme, result.volume, expected, result.rounds)
+            )
+    if metrics is not None:
+        for scheme, rows in outcomes.items():
+            rounds = metrics.histogram(
+                "core.negotiation.rounds", ROUND_EDGES, scheme=scheme
+            )
+            residual = metrics.counter("core.gap.residual_bytes", scheme=scheme)
+            charged = metrics.counter("core.gap.charged_bytes", scheme=scheme)
+            for outcome in rows:
+                rounds.observe(outcome.rounds)
+                residual.inc(outcome.delta)
+                charged.inc(outcome.charged)
+    return outcomes
+
+
+def build_network(seed: int, cycle_duration_s: float, **config) -> CellularNetwork:
+    """A fresh loop, metrics registry and EPC + RAN, seeded by ``seed``.
+
+    ``config`` holds further :class:`~repro.cellular.NetworkConfig` fields.
+    """
+    loop = EventLoop()
+    # Keep the RRC counter-check staleness proportional to the cycle:
+    # the paper's 5 s checks on 1 h cycles quantize ~0.14 % of volume.
+    check_interval = max(0.05, cycle_duration_s / 600.0)
+    return CellularNetwork(
+        loop,
+        StreamRegistry(seed),
+        NetworkConfig(enodeb=ENodeBConfig(counter_check_interval_s=check_interval), **config),
+        metrics=MetricsRegistry(clock=loop.now),
+    )
+
+
+class UeSession:
+    """One subscriber's full stack on a network: the four counting points.
+
+    The device and server monitors, the gateway counter and the modem's
+    RRC COUNTER CHECK record (:class:`~repro.edge.CounterCheckMonitor`)
+    become the per-cycle records Algorithm 1 negotiates.  The session
+    runs on the network's loop and metrics registry; the caller picks
+    its randomness, identity and cell.  ``rng`` drives the UE's own draws
+    (workload frames, cycle skews, negotiation claims, fault schedule);
+    link-layer processes keyed by IMSI (radio, handover) ride the
+    network's registry.
+    """
+
+    #: Span registry the kernel lane replays ``radio.outage`` spans into;
+    #: set by a runner that records outage spans from the radio callbacks.
+    span_recorder = None
 
     def __init__(
         self,
-        loop: EventLoop,
         network: CellularNetwork,
-        metrics: MetricsRegistry,
-        ue_index: int,
-        archetype: str,
         config: ScenarioConfig,
-        seed: int,
-        cell: int,
+        rng: StreamRegistry,
+        imsi: Imsi,
+        flow_id: str,
+        cell: int = 0,
     ) -> None:
-        self.ue_index = ue_index
-        self.archetype = archetype
         self.config = config
-        self.cell = cell
-        self.loop = loop
+        self.loop = loop = network.loop
         self.network = network
-        self.metrics = metrics
-        # Per-UE randomness: a registry seeded only by the UE's fleet-wide
-        # seed, so the session's draws are shard-composition independent.
-        self.rng = StreamRegistry(seed)
+        self.metrics = metrics = network.metrics
+        self.rng = rng
         self.plan = DataPlan(c=config.c, cycle_duration_s=config.cycle_duration_s)
-        imsi = make_test_imsi(ue_index + 1)
         self.imsi = imsi
-        self.flow_id = f"{config.workload.name}:ue{ue_index}"
-        self.counter_monitor = CounterCheckMonitor(loop, name=f"operator-rrc:ue{ue_index}")
-        self.device = EdgeDevice(loop, imsi, self.flow_id)
+        self.flow_id = flow_id
+        # Kernel selection outcome, set by start().
+        self.kernel_used: str | None = None
+        self.kernel_fallback_reason: str | None = None
+        self.counter_monitor = CounterCheckMonitor(loop)
+        self.device = EdgeDevice(loop, imsi, flow_id)
         access = network.attach_device(
             imsi,
             radio_profile=self._radio_profile(),
@@ -122,19 +223,19 @@ class _UeSession:
         )
         self.device.bind(access)
         self.access = access
-        network.create_bearer(imsi, self.flow_id, qci=config.workload.qci)
+        network.create_bearer(imsi, flow_id, qci=config.workload.qci)
         if config.quota_bytes is not None:
             network.pcrf.set_quota(
-                self.flow_id,
+                flow_id,
                 QuotaPolicy(config.quota_bytes, throttle_bps=config.quota_throttle_bps),
             )
-        self.server = EdgeServer(loop, network, self.flow_id)
-        # Link-layer mobility rides the *shard* registry (like the radio
-        # processes): a shared process keyed by IMSI, per the determinism
-        # contract above.
+        self.server = EdgeServer(loop, network, flow_id)
+        if config.background_mbps > 0:
+            rate = config.background_mbps * 1e6
+            network.set_background_load(rate, rate, cell=cell)
+        ue = network.serving_enodeb(str(imsi)).ue(str(imsi))
         self.handover: HandoverProcess | None = None
         if config.handover_interval_s is not None:
-            ue = network.serving_enodeb(str(imsi)).ue(str(imsi))
             self.handover = HandoverProcess(
                 loop,
                 network.rng,
@@ -147,21 +248,21 @@ class _UeSession:
             )
             self.handover.start()
         if config.sla_budget_s is not None:
-            network.set_sla_budget(self.flow_id, config.sla_budget_s)
+            network.set_sla_budget(flow_id, config.sla_budget_s)
         sender = self.device if config.direction is Direction.UPLINK else self.server
-        self.workload = FrameWorkload(loop, self.rng, config.workload, sender)
+        self.workload = FrameWorkload(loop, rng, config.workload, sender)
+        # Chaos layer: wrap the device's uplink send path and downlink
+        # delivery path through the injector's uniform hook, and arm any
+        # modem counter resets.  Clock faults apply at record extraction.
         self.fault_injector: FaultInjector | None = None
         if config.faults is not None and not config.faults.is_empty:
-            injector = FaultInjector(loop, self.rng, config.faults, metrics=metrics)
+            injector = FaultInjector(loop, rng, config.faults, metrics=metrics)
             access.send_uplink = injector.pipe("uplink", access.send_uplink)
-            ue = network.serving_enodeb(str(imsi)).ue(str(imsi))
             ue.deliver = injector.pipe("downlink", ue.deliver)
             injector.attach_modem(access.modem, point="modem")
             self.fault_injector = injector
 
-    def _radio_profile(self):
-        from ..cellular import RadioProfile
-
+    def _radio_profile(self) -> RadioProfile:
         config = self.config
         if config.outage_eta is not None:
             return RadioProfile.for_disconnectivity(
@@ -170,6 +271,34 @@ class _UeSession:
                 base_loss=config.base_loss,
             )
         return RadioProfile(base_loss=config.base_loss)
+
+    # -------------------------------------------------------------- running
+
+    def _build_lane(self) -> tuple[LaneSpec | None, str | None]:
+        return build_session_lane(self)
+
+    def start(self, kernel: str, horizon: float) -> LaneSpec | None:
+        """Hand the UE to a kernel lane, or start its workload on the loop.
+
+        Returns the lane to run, or None when the UE runs on the reference
+        engine.  An ``auto`` fallback records its reason in
+        ``kernel_fallback_reason`` and the ``kernel.fallback`` counter;
+        ``kernel="batched"`` raises instead.
+        """
+        lane = None
+        if kernel != "reference":
+            lane, reason = self._build_lane()
+            if lane is None:
+                if kernel == "batched":
+                    raise RuntimeError(
+                        f"batched kernel unavailable for {self.flow_id}: {reason}"
+                    )
+                self.kernel_fallback_reason = reason
+                self.metrics.counter("kernel.fallback", reason=reason).inc()
+        if lane is None:
+            self.workload.start(until=horizon)
+        self.kernel_used = "reference" if lane is None else "batched"
+        return lane
 
     # ----------------------------------------------------------- extraction
 
@@ -191,7 +320,7 @@ class _UeSession:
             true_received = min(gateway, true_sent)
             edge_sent = self.device.ul_monitor.reported_usage(t1, t2)
             edge_received_est = self.server.ul_monitor.reported_usage(t1, t2)
-            operator_received = gateway
+            operator_received = gateway  # the gateway *is* the receiver record
             operator_sent_est = self.counter_monitor.reported_uplink_usage(t1, t2)
         else:
             true_sent = self.server.dl_monitor.true_usage(t1, t2)
@@ -217,7 +346,7 @@ class _UeSession:
         )
 
     def collect(self) -> list[CycleUsage]:
-        """Per-cycle usage records with per-UE, per-cycle clock skews."""
+        """Extract per-cycle usage records with per-cycle clock skews."""
         config = self.config
         skew_rng = self.rng.stream("cycle-skews")
         usages = []
@@ -227,13 +356,16 @@ class _UeSession:
             edge_skew = skew_rng.gauss(0.0, config.edge_skew_rel_std * config.cycle_duration_s)
             op_skew = skew_rng.gauss(0.0, config.operator_skew_rel_std * config.cycle_duration_s)
             if self.fault_injector is not None:
+                # Injected clock faults stack on top of the baseline NTP
+                # error: offsets while active, drift accumulated to the
+                # (true-time) cycle boundary.
                 edge_skew += self.fault_injector.extra_skew("edge-clock", t2)
                 op_skew += self.fault_injector.extra_skew("operator-clock", t2)
             usages.append(self._cycle_usage(t1, t2, edge_skew, op_skew))
         return usages
 
     def evaluate(self, usages: list[CycleUsage]) -> dict[str, list[SchemeOutcome]]:
-        """Charging schemes on this UE's cycles (per-UE negotiation stream)."""
+        """Run every charging scheme on every cycle (session negotiation stream)."""
         return evaluate_schemes(
             self.plan,
             usages,
@@ -243,34 +375,62 @@ class _UeSession:
             self.metrics,
         )
 
-    def summarize(
-        self, usages: list[CycleUsage], outcomes: dict[str, list[SchemeOutcome]]
-    ) -> UeSummary:
-        """Reduce one UE's run to the aggregation-ready summary row."""
-        horizon = self.config.n_cycles * self.config.cycle_duration_s
-        summary = UeSummary(
-            ue_index=self.ue_index,
-            archetype=self.archetype,
-            flow_id=self.flow_id,
-            cycles=len(usages),
-            offered_bitrate_bps=self.workload.achieved_bitrate_bps(horizon),
-        )
-        for scheme, rows in outcomes.items():
-            gaps = [
-                usage.scaled_to_hour(outcome.delta)
-                for usage, outcome in zip(usages, rows)
-            ]
-            summary.mean_gap_mb_hr[scheme] = statistics.mean(gaps) if gaps else 0.0
-            eps = [o.epsilon for o in rows if o.expected > 0]
-            summary.mean_epsilon[scheme] = statistics.mean(eps) if eps else 0.0
-            summary.mean_rounds[scheme] = (
-                statistics.mean(o.rounds for o in rows) if rows else 0.0
+
+def simulate_sessions(sessions: list[UeSession], kernel: str, horizon: float) -> None:
+    """Run UE sessions that share one network through the charging horizon."""
+    network = sessions[0].network
+    with network.metrics.span("simulate"):
+        lanes = [s.start(kernel, horizon) for s in sessions]
+        # Lanes never touch the shared loop; any order works.  The
+        # reference sessions' events then settle on the real loop.
+        for lane in lanes:
+            if lane is not None:
+                run_lane(lane, horizon, settle=SETTLE_S)
+        network.loop.run_until(horizon + SETTLE_S)  # settle in-flight traffic
+        # Final counter check so the last cycle's RRC record is fresh.
+        for session in sessions:
+            imsi = str(session.imsi)
+            network.serving_enodeb(imsi).ue(imsi).rrc.perform_counter_check()
+
+
+def harvest_metrics(network: CellularNetwork, sessions: list[UeSession]) -> None:
+    """Harvest end-of-run totals from components into gauges.
+
+    Live counters (links, gateway, faults, PoC) accumulate during the
+    simulation; this pass adds the remaining passive counters — air
+    interface, radio, modem, application monitors — so one snapshot
+    accounts for the whole data path layer by layer.  Sums across cells
+    and UEs keep metric cardinality constant (no per-UE labels), so a
+    merged fleet snapshot stays O(metric names), not O(population).
+    """
+    m = network.metrics
+    for enodeb in network.enodebs:
+        for direction, air in (("dl", enodeb.downlink_air), ("ul", enodeb.uplink_air)):
+            m.gauge("cellular.air.offered_bytes", direction=direction).add(
+                air.offered.bytes
             )
-            if scheme in NEGOTIATED_SCHEMES:
-                summary.converged_cycles[scheme] = sum(
-                    1 for o in rows if o.rounds < self.config.max_rounds
-                )
-        return summary
+            m.gauge("cellular.air.dropped_bytes", direction=direction).add(
+                air.dropped.bytes
+            )
+            m.gauge("cellular.air.transmitted_bytes", direction=direction).add(
+                air.transmitted.bytes
+            )
+    for session in sessions:
+        radio = session.access.radio
+        m.gauge("cellular.radio.outages").add(radio.outage_count)
+        m.gauge("cellular.radio.outage_time_s").add(radio.total_outage_time)
+        modem = session.access.modem
+        m.gauge("edge.modem.uplink_bytes").add(modem.ul_sent.total)
+        m.gauge("edge.modem.downlink_bytes").add(modem.dl_received.total)
+        m.gauge("edge.modem.counter_checks").add(modem.counter_checks_served)
+        monitors = (
+            ("device-ul", session.device.ul_monitor),
+            ("device-dl", session.device.dl_monitor),
+            ("server-ul", session.server.ul_monitor),
+            ("server-dl", session.server.dl_monitor),
+        )
+        for point, monitor in monitors:
+            m.gauge("edge.monitor.observed_bytes", point=point).add(monitor.total)
 
 
 class FleetShardRunner:
@@ -289,129 +449,56 @@ class FleetShardRunner:
         self.kernel = resolve_kernel(kernel)
         self.kernel_used: dict[int, str] = {}
         self.kernel_fallback_reasons: dict[int, str] = {}
-        self.loop = EventLoop()
-        self.metrics = MetricsRegistry(clock=self.loop.now)
-        # Shard-level randomness (radio processes keyed by IMSI, per-cell
-        # air noise) comes from the shard seed.
-        self.rng = StreamRegistry(shard.seed)
         durations = {ue.config.cycle_duration_s for ue in shard.ues}
         cycles = {ue.config.n_cycles for ue in shard.ues}
         if len(durations) != 1 or len(cycles) != 1:
             raise ValueError("all UEs of a shard must share the charging cycle grid")
         self.cycle_duration_s = durations.pop()
         self.n_cycles = cycles.pop()
-        check_interval = max(0.05, self.cycle_duration_s / 600.0)
-        self.network = CellularNetwork(
-            self.loop,
-            self.rng,
-            NetworkConfig(
-                enodeb=ENodeBConfig(counter_check_interval_s=check_interval),
-                n_cells=len(shard.ues),
-                retain_cdrs=False,
-            ),
-            metrics=self.metrics,
+        # Shard-level randomness (radio processes keyed by IMSI, per-cell
+        # air noise) comes from the shard seed.
+        self.network = build_network(
+            shard.seed, self.cycle_duration_s, n_cells=len(shard.ues), retain_cdrs=False
         )
+        self.metrics = self.network.metrics
+        # Per-UE randomness: a registry seeded only by the UE's fleet-wide
+        # seed, so the session's draws are shard-composition independent.
         self.sessions = [
-            _UeSession(
-                self.loop,
+            UeSession(
                 self.network,
-                self.metrics,
-                ue_index=ue.index,
-                archetype=ue.archetype,
-                config=ue.config,
-                seed=ue.seed,
+                ue.config,
+                StreamRegistry(ue.seed),
+                make_test_imsi(ue.index + 1),
+                f"{ue.config.workload.name}:ue{ue.index}",
                 cell=cell,
             )
             for cell, ue in enumerate(shard.ues)
         ]
-        for cell, session in enumerate(self.sessions):
-            mbps = session.config.background_mbps
-            if mbps > 0:
-                rate = mbps * 1e6
-                self.network.set_background_load(rate, rate, cell=cell)
 
     # -------------------------------------------------------------- running
 
     def simulate(self) -> None:
         """Run every UE's workload through the shared charging horizon."""
-        horizon = self.n_cycles * self.cycle_duration_s
-        with self.metrics.span("simulate"):
-            lanes = []
-            for session in self.sessions:
-                lane = reason = None
-                if self.kernel != "reference":
-                    lane, reason = build_session_lane(session)
-                    if lane is None and self.kernel == "batched":
-                        raise RuntimeError(
-                            f"batched kernel unavailable for UE {session.ue_index}: {reason}"
-                        )
-                if lane is not None:
-                    self.kernel_used[session.ue_index] = "batched"
-                    lanes.append(lane)
-                else:
-                    self.kernel_used[session.ue_index] = "reference"
-                    if reason is not None:
-                        # Auto-mode fallbacks aggregate into the shard
-                        # snapshot so fleet coverage regressions surface;
-                        # an explicit kernel="reference" records nothing.
-                        self.kernel_fallback_reasons[session.ue_index] = reason
-                        self.metrics.counter("kernel.fallback", reason=reason).inc()
-                    session.workload.start(until=horizon)
-            # Lanes never touch the shared loop; any order works.  The
-            # reference sessions' events then settle on the real loop.
-            for lane in lanes:
-                run_lane(lane, horizon, settle=SETTLE_S)
-            self.loop.run_until(horizon + SETTLE_S)  # settle in-flight traffic
-            for session in self.sessions:
-                self.network.serving_enodeb(str(session.imsi)).ue(
-                    str(session.imsi)
-                ).rrc.perform_counter_check()
+        simulate_sessions(self.sessions, self.kernel, self.n_cycles * self.cycle_duration_s)
+        for ue, session in zip(self.shard.ues, self.sessions):
+            self.kernel_used[ue.index] = session.kernel_used
+            if session.kernel_fallback_reason is not None:
+                self.kernel_fallback_reasons[ue.index] = session.kernel_fallback_reason
 
     def collect_metrics(self) -> None:
-        """Shard-level totals: passive counters summed across cells and UEs.
-
-        Sums keep metric cardinality constant (no per-UE labels), so the
-        merged fleet snapshot stays O(metric names), not O(population).
-        """
-        m = self.metrics
-        for enodeb in self.network.enodebs:
-            for direction, air in (("dl", enodeb.downlink_air), ("ul", enodeb.uplink_air)):
-                m.gauge("cellular.air.offered_bytes", direction=direction).add(
-                    air.offered.bytes
-                )
-                m.gauge("cellular.air.dropped_bytes", direction=direction).add(
-                    air.dropped.bytes
-                )
-                m.gauge("cellular.air.transmitted_bytes", direction=direction).add(
-                    air.transmitted.bytes
-                )
-        for session in self.sessions:
-            radio = session.access.radio
-            m.gauge("cellular.radio.outages").add(radio.outage_count)
-            m.gauge("cellular.radio.outage_time_s").add(radio.total_outage_time)
-            modem = session.access.modem
-            m.gauge("edge.modem.uplink_bytes").add(modem.ul_sent.total)
-            m.gauge("edge.modem.downlink_bytes").add(modem.dl_received.total)
-            m.gauge("edge.modem.counter_checks").add(modem.counter_checks_served)
-            monitors = (
-                ("device-ul", session.device.ul_monitor),
-                ("device-dl", session.device.dl_monitor),
-                ("server-ul", session.server.ul_monitor),
-                ("server-dl", session.server.dl_monitor),
-            )
-            for point, monitor in monitors:
-                m.gauge("edge.monitor.observed_bytes", point=point).add(monitor.total)
-        m.gauge("cellular.ofcs.bearers").set(len(self.network.bearers))
-        m.gauge("fleet.shard.ues").set(len(self.sessions))
+        """Shard-level totals: passive counters summed across cells and UEs."""
+        harvest_metrics(self.network, self.sessions)
+        self.metrics.gauge("cellular.ofcs.bearers").set(len(self.network.bearers))
+        self.metrics.gauge("fleet.shard.ues").set(len(self.sessions))
 
     def run(self) -> FleetShardResult:
         """Simulate, extract, evaluate and summarize every UE of the shard."""
         self.simulate()
         summaries = []
-        for session in self.sessions:
+        for ue, session in zip(self.shard.ues, self.sessions):
             usages = session.collect()
             outcomes = session.evaluate(usages)
-            summary = session.summarize(usages, outcomes)
+            summary = self._summarize(ue, session, usages, outcomes)
             self._record_fleet_metrics(summary)
             summaries.append(summary)
         self.collect_metrics()
@@ -420,6 +507,39 @@ class FleetShardRunner:
             ues=summaries,
             metrics=self.metrics.snapshot(),
         )
+
+    def _summarize(
+        self,
+        ue,
+        session: UeSession,
+        usages: list[CycleUsage],
+        outcomes: dict[str, list[SchemeOutcome]],
+    ) -> UeSummary:
+        """Reduce one UE's run to the aggregation-ready summary row."""
+        horizon = self.n_cycles * self.cycle_duration_s
+        summary = UeSummary(
+            ue_index=ue.index,
+            archetype=ue.archetype,
+            flow_id=session.flow_id,
+            cycles=len(usages),
+            offered_bitrate_bps=session.workload.achieved_bitrate_bps(horizon),
+        )
+        for scheme, rows in outcomes.items():
+            gaps = [
+                usage.scaled_to_hour(outcome.delta)
+                for usage, outcome in zip(usages, rows)
+            ]
+            summary.mean_gap_mb_hr[scheme] = statistics.mean(gaps) if gaps else 0.0
+            eps = [o.epsilon for o in rows if o.expected > 0]
+            summary.mean_epsilon[scheme] = statistics.mean(eps) if eps else 0.0
+            summary.mean_rounds[scheme] = (
+                statistics.mean(o.rounds for o in rows) if rows else 0.0
+            )
+            if scheme in NEGOTIATED_SCHEMES:
+                summary.converged_cycles[scheme] = sum(
+                    1 for o in rows if o.rounds < ue.config.max_rounds
+                )
+        return summary
 
     def _record_fleet_metrics(self, summary: UeSummary) -> None:
         m = self.metrics

@@ -148,7 +148,7 @@ def settle_usages(
 
     Both parties play :class:`~repro.core.OptimalStrategy` on what they
     actually measured — the same knowledge split
-    :func:`~repro.experiments.runner.evaluate_schemes` gives the
+    :func:`~repro.experiments.fleet_runner.evaluate_schemes` gives the
     ``tlc-optimal`` scheme — so the negotiated volume lands inside
     Theorem 2's bracket around the true usage.
     """

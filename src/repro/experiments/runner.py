@@ -1,9 +1,11 @@
 """End-to-end experiment runner.
 
-Builds the full stack for one scenario — EPC, radio, device, server,
-workload — simulates the configured charging cycles, extracts per-cycle
-:class:`~repro.core.records.CycleUsage` (ground truth + every party's
-measured records), and evaluates the charging schemes the paper compares:
+Runs one scenario as a single
+:class:`~repro.experiments.fleet_runner.UeSession` — device, server,
+radio, workload — on its own EPC, simulates the configured charging
+cycles, extracts per-cycle :class:`~repro.core.records.CycleUsage`
+(ground truth + every party's measured records), and evaluates the
+charging schemes the paper compares:
 
 * ``legacy``      — the gateway count, unnegotiated (honest legacy 4G/5G);
 * ``tlc-optimal`` — Algorithm 1 with both parties playing minimax/maximin;
@@ -20,97 +22,30 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from ..cellular import (
-    CellularNetwork,
-    ENodeBConfig,
-    HandoverConfig,
-    HandoverProcess,
-    NetworkConfig,
-    QuotaPolicy,
-    RadioProfile,
-    make_test_imsi,
+from ..cellular import make_test_imsi
+from ..core import CycleUsage, SchemeOutcome
+from ..kernel import build_scenario_lane, resolve_kernel
+from ..netsim import FaultTrace
+from ..obs import MetricsSnapshot
+from .fleet_runner import (
+    ROUND_EDGES,
+    SCHEMES,
+    UeSession,
+    build_network,
+    evaluate_schemes,
+    harvest_metrics,
+    simulate_sessions,
 )
-from ..core import (
-    CycleUsage,
-    DataPlan,
-    HonestStrategy,
-    NegotiationEngine,
-    OptimalStrategy,
-    PartyKnowledge,
-    PartyRole,
-    RandomSelfishStrategy,
-    SchemeOutcome,
-)
-from ..edge import CounterCheckMonitor, EdgeDevice, EdgeServer
-from ..kernel import SETTLE_S, build_scenario_lane, resolve_kernel, run_lane
-from ..netsim import Direction, EventLoop, FaultInjector, FaultTrace, StreamRegistry
-from ..obs import MetricsRegistry, MetricsSnapshot
-from ..workloads import FrameWorkload
 from .scenarios import ScenarioConfig
 
-SCHEMES = ("legacy", "tlc-optimal", "tlc-random", "tlc-honest")
-
-#: Fixed bucket edges for the per-scheme negotiation-round histogram
-#: (Figure 16b's x-axis range); fixed so snapshots merge and compare.
-ROUND_EDGES = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0)
-
-
-def evaluate_schemes(
-    plan: DataPlan,
-    usages: list[CycleUsage],
-    neg_rng,
-    accept_tolerance: float,
-    max_rounds: int,
-    metrics: MetricsRegistry | None = None,
-) -> dict[str, list[SchemeOutcome]]:
-    """Run every charging scheme on every cycle of one flow.
-
-    Shared by the single-UE :class:`ScenarioRunner` and the fleet shard
-    runner: ``neg_rng`` is the caller's dedicated negotiation stream, so
-    per-flow results depend only on that stream's state, never on how
-    many flows share the simulation.
-    """
-    outcomes: dict[str, list[SchemeOutcome]] = {name: [] for name in SCHEMES}
-    for usage in usages:
-        expected = plan.expected_charge(usage.true_sent, usage.true_received)
-        outcomes["legacy"].append(
-            SchemeOutcome("legacy", usage.gateway_count, expected)
-        )
-        for scheme in ("tlc-optimal", "tlc-random", "tlc-honest"):
-            edge_know = PartyKnowledge(
-                PartyRole.EDGE, usage.edge_sent_record, usage.edge_received_estimate
-            )
-            op_know = PartyKnowledge(
-                PartyRole.OPERATOR,
-                usage.operator_received_record,
-                usage.operator_sent_estimate,
-            )
-            if scheme == "tlc-optimal":
-                edge = OptimalStrategy(edge_know, accept_tolerance=accept_tolerance)
-                operator = OptimalStrategy(op_know, accept_tolerance=accept_tolerance)
-            elif scheme == "tlc-honest":
-                edge = HonestStrategy(edge_know, accept_tolerance=accept_tolerance)
-                operator = HonestStrategy(op_know, accept_tolerance=accept_tolerance)
-            else:
-                edge = RandomSelfishStrategy(edge_know, neg_rng)
-                operator = RandomSelfishStrategy(op_know, neg_rng)
-            engine = NegotiationEngine(plan, edge, operator, max_rounds=max_rounds)
-            result = engine.run()
-            outcomes[scheme].append(
-                SchemeOutcome(scheme, result.volume, expected, result.rounds)
-            )
-    if metrics is not None:
-        for scheme, rows in outcomes.items():
-            rounds = metrics.histogram(
-                "core.negotiation.rounds", ROUND_EDGES, scheme=scheme
-            )
-            residual = metrics.counter("core.gap.residual_bytes", scheme=scheme)
-            charged = metrics.counter("core.gap.charged_bytes", scheme=scheme)
-            for outcome in rows:
-                rounds.observe(outcome.rounds)
-                residual.inc(outcome.delta)
-                charged.inc(outcome.charged)
-    return outcomes
+__all__ = [
+    "ROUND_EDGES",
+    "SCHEMES",
+    "ScenarioResult",
+    "ScenarioRunner",
+    "evaluate_schemes",
+    "run_scenario",
+]
 
 
 @dataclass
@@ -151,86 +86,27 @@ class ScenarioResult:
         ]
 
 
-class ScenarioRunner:
-    """Owns one scenario's simulation and its record extraction."""
+class ScenarioRunner(UeSession):
+    """Owns one scenario's simulation: a single UE on its own network."""
 
     def __init__(self, config: ScenarioConfig, kernel: str | None = None) -> None:
-        self.config = config
         # Simulation kernel: "auto" picks the batched per-UE kernel when
         # the scenario is eligible (bit-identical results), "reference"
         # forces the per-packet engine, "batched" raises if ineligible.
         self.kernel = resolve_kernel(kernel)
-        self.kernel_used: str | None = None
-        self.kernel_fallback_reason: str | None = None
-        self.loop = EventLoop()
-        self.metrics = MetricsRegistry(clock=self.loop.now)
-        self.rng = StreamRegistry(config.seed)
-        self.plan = DataPlan(c=config.c, cycle_duration_s=config.cycle_duration_s)
-        # Keep the RRC counter-check staleness proportional to the cycle:
-        # the paper's 5 s checks on 1 h cycles quantize ~0.14 % of volume.
-        check_interval = max(0.05, config.cycle_duration_s / 600.0)
-        net_config = NetworkConfig(
-            enodeb=ENodeBConfig(counter_check_interval_s=check_interval)
+        network = build_network(config.seed, config.cycle_duration_s)
+        # One registry drives the network and the UE alike.
+        super().__init__(
+            network, config, network.rng, make_test_imsi(1), f"{config.workload.name}:ue1"
         )
-        self.network = CellularNetwork(self.loop, self.rng, net_config, metrics=self.metrics)
-        imsi = make_test_imsi(1)
-        flow_id = f"{config.workload.name}:ue1"
-        self.counter_monitor = CounterCheckMonitor(self.loop)
-        self.device = EdgeDevice(self.loop, imsi, flow_id)
-        radio = self._radio_profile()
-        access = self.network.attach_device(
-            imsi,
-            radio_profile=radio,
-            deliver=self.device.deliver,
-            counter_report_sink=self.counter_monitor.on_report,
-            record_rss=config.outage_eta is not None,
-        )
-        self.device.bind(access)
-        self.access = access
         # Radio outages become spans on the simulated clock (event-driven
         # open/close; a snapshot taken mid-outage closes them virtually).
+        # Registered after the network's own outage callbacks, the order
+        # the kernel lane replays them in.
         self._outage_span = None
-        access.radio.on_outage_start.append(self._outage_started)
-        access.radio.on_outage_end.append(self._outage_ended)
-        self.network.create_bearer(imsi, flow_id, qci=config.workload.qci)
-        if config.quota_bytes is not None:
-            self.network.pcrf.set_quota(
-                flow_id,
-                QuotaPolicy(config.quota_bytes, throttle_bps=config.quota_throttle_bps),
-            )
-        self.server = EdgeServer(self.loop, self.network, flow_id)
-        if config.background_mbps > 0:
-            rate = config.background_mbps * 1e6
-            self.network.set_background_load(rate, rate)
-        self.handover: HandoverProcess | None = None
-        if config.handover_interval_s is not None:
-            self.handover = HandoverProcess(
-                self.loop,
-                self.rng,
-                self.network.enodeb.ue(str(imsi)),
-                HandoverConfig(
-                    interval_s=config.handover_interval_s,
-                    interruption_s=config.handover_interruption_s,
-                    x2_forwarding=config.handover_x2,
-                ),
-            )
-            self.handover.start()
-        if config.sla_budget_s is not None:
-            self.network.set_sla_budget(flow_id, config.sla_budget_s)
-        sender = self.device if config.direction is Direction.UPLINK else self.server
-        self.workload = FrameWorkload(self.loop, self.rng, config.workload, sender)
-        self.flow_id = flow_id
-        # Chaos layer: wrap the device's uplink send path and downlink
-        # delivery path through the injector's uniform hook, and arm any
-        # modem counter resets.  Clock faults apply at record extraction.
-        self.fault_injector: FaultInjector | None = None
-        if config.faults is not None and not config.faults.is_empty:
-            injector = FaultInjector(self.loop, self.rng, config.faults, metrics=self.metrics)
-            access.send_uplink = injector.pipe("uplink", access.send_uplink)
-            ue = self.network.enodeb.ue(str(imsi))
-            ue.deliver = injector.pipe("downlink", ue.deliver)
-            injector.attach_modem(access.modem, point="modem")
-            self.fault_injector = injector
+        self.span_recorder = self.metrics._spans
+        self.access.radio.on_outage_start.append(self._outage_started)
+        self.access.radio.on_outage_end.append(self._outage_ended)
 
     def _outage_started(self) -> None:
         if self._outage_span is None:
@@ -241,149 +117,19 @@ class ScenarioRunner:
             self._outage_span.close()
             self._outage_span = None
 
-    def _radio_profile(self) -> RadioProfile:
-        config = self.config
-        if config.outage_eta is not None:
-            return RadioProfile.for_disconnectivity(
-                config.outage_eta,
-                mean_outage_s=config.mean_outage_s,
-                base_loss=config.base_loss,
-            )
-        return RadioProfile(base_loss=config.base_loss)
+    def _build_lane(self):
+        return build_scenario_lane(self)
 
     # -------------------------------------------------------------- running
 
     def simulate(self) -> None:
         """Run the workload through every configured charging cycle."""
         horizon = self.config.n_cycles * self.config.cycle_duration_s
-        with self.metrics.span("simulate"):
-            lane = None
-            if self.kernel != "reference":
-                lane, reason = build_scenario_lane(self)
-                if lane is None:
-                    if self.kernel == "batched":
-                        raise RuntimeError(f"batched kernel unavailable: {reason}")
-                    self.kernel_fallback_reason = reason
-                    self.metrics.counter("kernel.fallback", reason=reason).inc()
-            if lane is not None:
-                self.kernel_used = "batched"
-                run_lane(lane, horizon, settle=SETTLE_S)
-                self.loop.run_until(horizon + SETTLE_S)  # advance the clock
-            else:
-                self.kernel_used = "reference"
-                self.workload.start(until=horizon)
-                self.loop.run_until(horizon + SETTLE_S)  # settle in-flight traffic
-            # Final counter check so the last cycle's RRC record is fresh.
-            self.network.enodeb.ue(str(self.device.imsi)).rrc.perform_counter_check()
+        simulate_sessions([self], self.kernel, horizon)
 
     def collect_metrics(self) -> None:
-        """Harvest end-of-run totals from components into gauges.
-
-        Live counters (links, gateway, faults, PoC) accumulate during the
-        simulation; this pass snapshots the remaining passive counters —
-        air interface, radio, modem, application monitors — so one
-        snapshot accounts for the whole data path layer by layer.
-        """
-        m = self.metrics
-        enodeb = self.network.enodeb
-        for direction, air in (("dl", enodeb.downlink_air), ("ul", enodeb.uplink_air)):
-            m.gauge("cellular.air.offered_bytes", direction=direction).set(air.offered.bytes)
-            m.gauge("cellular.air.dropped_bytes", direction=direction).set(air.dropped.bytes)
-            m.gauge("cellular.air.transmitted_bytes", direction=direction).set(
-                air.transmitted.bytes
-            )
-        radio = self.access.radio
-        m.gauge("cellular.radio.outages").set(radio.outage_count)
-        m.gauge("cellular.radio.outage_time_s").set(radio.total_outage_time)
-        modem = self.access.modem
-        m.gauge("edge.modem.uplink_bytes").set(modem.ul_sent.total)
-        m.gauge("edge.modem.downlink_bytes").set(modem.dl_received.total)
-        m.gauge("edge.modem.counter_checks").set(modem.counter_checks_served)
-        monitors = (
-            ("device-ul", self.device.ul_monitor),
-            ("device-dl", self.device.dl_monitor),
-            ("server-ul", self.server.ul_monitor),
-            ("server-dl", self.server.dl_monitor),
-        )
-        for point, monitor in monitors:
-            m.gauge("edge.monitor.observed_bytes", point=point).set(monitor.total)
-
-    # ----------------------------------------------------------- extraction
-
-    def _cycle_usage(self, t1: float, t2: float, edge_skew: float, op_skew: float) -> CycleUsage:
-        config = self.config
-        direction = config.direction
-        for monitor in (
-            self.device.ul_monitor,
-            self.device.dl_monitor,
-            self.server.ul_monitor,
-            self.server.dl_monitor,
-        ):
-            monitor.set_skew(edge_skew)
-        self.counter_monitor.set_skew(op_skew)
-
-        gateway = self.network.gateway_usage(self.flow_id, t1, t2, direction)
-        if direction is Direction.UPLINK:
-            true_sent = self.device.ul_monitor.true_usage(t1, t2)
-            true_received = min(gateway, true_sent)
-            edge_sent = self.device.ul_monitor.reported_usage(t1, t2)
-            edge_received_est = self.server.ul_monitor.reported_usage(t1, t2)
-            operator_received = gateway  # the gateway *is* the receiver record
-            operator_sent_est = self.counter_monitor.reported_uplink_usage(t1, t2)
-        else:
-            true_sent = self.server.dl_monitor.true_usage(t1, t2)
-            true_received = min(self.device.dl_monitor.true_usage(t1, t2), true_sent)
-            edge_sent = self.server.dl_monitor.reported_usage(t1, t2)
-            edge_received_est = self.device.dl_monitor.reported_usage(t1, t2)
-            operator_received = self.counter_monitor.reported_usage(t1, t2)
-            operator_sent_est = gateway
-
-        cycles = self.plan.cycles(self.config.n_cycles)
-        index = int(round(t1 / config.cycle_duration_s))
-        return CycleUsage(
-            cycle=cycles[index],
-            direction=direction,
-            flow_id=self.flow_id,
-            true_sent=true_sent,
-            true_received=true_received,
-            gateway_count=gateway,
-            edge_sent_record=edge_sent,
-            edge_received_estimate=edge_received_est,
-            operator_received_record=operator_received,
-            operator_sent_estimate=operator_sent_est,
-        )
-
-    def collect(self) -> list[CycleUsage]:
-        """Extract per-cycle usage records with per-cycle clock skews."""
-        config = self.config
-        skew_rng = self.rng.stream("cycle-skews")
-        usages = []
-        for k in range(config.n_cycles):
-            t1 = k * config.cycle_duration_s
-            t2 = (k + 1) * config.cycle_duration_s
-            edge_skew = skew_rng.gauss(0.0, config.edge_skew_rel_std * config.cycle_duration_s)
-            op_skew = skew_rng.gauss(0.0, config.operator_skew_rel_std * config.cycle_duration_s)
-            if self.fault_injector is not None:
-                # Injected clock faults stack on top of the baseline NTP
-                # error: offsets while active, drift accumulated to the
-                # (true-time) cycle boundary.
-                edge_skew += self.fault_injector.extra_skew("edge-clock", t2)
-                op_skew += self.fault_injector.extra_skew("operator-clock", t2)
-            usages.append(self._cycle_usage(t1, t2, edge_skew, op_skew))
-        return usages
-
-    # ------------------------------------------------------------- schemes
-
-    def evaluate(self, usages: list[CycleUsage]) -> dict[str, list[SchemeOutcome]]:
-        """Run every charging scheme on every cycle."""
-        return evaluate_schemes(
-            self.plan,
-            usages,
-            self.rng.stream("negotiation"),
-            self.config.accept_tolerance,
-            self.config.max_rounds,
-            self.metrics,
-        )
+        """Harvest end-of-run totals from components into gauges."""
+        harvest_metrics(self.network, [self])
 
     def run(self) -> ScenarioResult:
         """Simulate, extract and evaluate; the one-call entry point."""

@@ -2,12 +2,13 @@
 
 The batched kernel (:mod:`repro.kernel.engine`) reproduces the reference
 engine bit for bit *only* for the traffic shapes it mirrors.  This module
-is the gatekeeper: :func:`build_scenario_lane` / :func:`build_session_lane`
-inspect a fully-built runner and either return a ready
-:class:`~repro.kernel.engine.LaneSpec` or a human-readable reason why the
-UE must run on the reference engine.  ``kernel="auto"`` falls back
-silently (the runner records the reason); ``kernel="batched"`` raises so
-tests and benchmarks can assert the fast path was actually taken.
+is the gatekeeper: :func:`build_session_lane` inspects a fully-built UE
+session (:func:`build_scenario_lane` adds the single-UE loop check) and
+either returns a ready :class:`~repro.kernel.engine.LaneSpec` or a
+human-readable reason why the UE must run on the reference engine.
+``kernel="auto"`` falls back silently (the session records the reason);
+``kernel="batched"`` raises so tests and benchmarks can assert the fast
+path was actually taken.
 
 Selection is resolved per call from an explicit argument or the
 ``REPRO_SIM_KERNEL`` environment variable (``auto`` | ``batched`` |
@@ -87,22 +88,26 @@ def _absorb_events(loop, radio, handover, injector=None) -> tuple[tuple | None, 
     return tuple(absorbed), None
 
 
-def _build_lane(
-    *,
-    config,
-    loop,
-    network,
-    access,
-    device,
-    server,
-    workload,
-    counter_monitor,
-    flow_id,
-    fault_injector,
-    handover=None,
-    span_recorder=None,
-) -> tuple[LaneSpec | None, str | None]:
-    """Shared eligibility walk; returns (lane, None) or (None, reason)."""
+def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
+    """Lane for one :class:`~repro.experiments.fleet_runner.UeSession`.
+
+    Returns ``(lane, None)`` or ``(None, reason)``.  Eligibility is
+    per-session: a fleet UE owns its cell, so its air interfaces, RRC,
+    modem, bearer and monitors are lane-private; the shared
+    SPGW/link/middlebox totals the lane flushes are plain sums,
+    insensitive to which engine produced each term.  The shard loop may
+    legitimately hold pending events for *ineligible* sessions (their
+    radio outage processes), so there is no global pending check here.
+    """
+    config = session.config
+    network = session.network
+    access = session.access
+    device = session.device
+    server = session.server
+    workload = session.workload
+    flow_id = session.flow_id
+    fault_injector = session.fault_injector
+    handover = session.handover
     if config.workload.fps > MAX_BATCHED_FPS:
         return None, f"workload fps {config.workload.fps} above the kernel bound ({MAX_BATCHED_FPS})"
     if device.on_receive is not None or server.on_receive is not None:
@@ -157,7 +162,7 @@ def _build_lane(
         if monitor.counter._times:
             return None, f"monitor {monitor.name!r} not fresh"
 
-    absorbed, reason = _absorb_events(loop, radio, handover, fault_injector)
+    absorbed, reason = _absorb_events(session.loop, radio, handover, fault_injector)
     if reason is not None:
         return None, reason
 
@@ -183,7 +188,7 @@ def _build_lane(
 
     lane = LaneSpec(
         is_uplink=is_uplink,
-        t0=loop.now(),
+        t0=session.loop.now(),
         workload=workload,
         radio=radio,
         air=air,
@@ -209,7 +214,7 @@ def _build_lane(
         handover=handover,
         rlf_timeout_s=enodeb.config.rlf_timeout_s,
         attach_delay_s=enodeb.config.attach_delay_s,
-        span_recorder=span_recorder,
+        span_recorder=session.span_recorder,
         absorbed=absorbed,
         fault_view=fault_view,
     )
@@ -218,20 +223,7 @@ def _build_lane(
 
 def build_scenario_lane(runner) -> tuple[LaneSpec | None, str | None]:
     """Lane for a single-UE :class:`~repro.experiments.runner.ScenarioRunner`."""
-    lane, reason = _build_lane(
-        config=runner.config,
-        loop=runner.loop,
-        network=runner.network,
-        access=runner.access,
-        device=runner.device,
-        server=runner.server,
-        workload=runner.workload,
-        counter_monitor=runner.counter_monitor,
-        flow_id=runner.flow_id,
-        fault_injector=runner.fault_injector,
-        handover=runner.handover,
-        span_recorder=runner.metrics._spans,
-    )
+    lane, reason = build_session_lane(runner)
     if lane is not None and runner.loop.pending() != len(lane.absorbed):
         # Catch-all, checked last so specific reasons surface first: a
         # single-UE scenario loop must hold nothing beyond the absorbed
@@ -239,28 +231,3 @@ def build_scenario_lane(runner) -> tuple[LaneSpec | None, str | None]:
         # is scheduled on it.
         return None, "event loop already has pending events"
     return lane, reason
-
-
-def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
-    """Lane for one :class:`~repro.experiments.fleet_runner._UeSession`.
-
-    Fleet eligibility is per-session: each UE owns its cell, so its air
-    interfaces, RRC, modem, bearer and monitors are lane-private; the
-    shared SPGW/link/middlebox totals the lane flushes are plain sums,
-    insensitive to which engine produced each term.  The shard loop may
-    legitimately hold pending events for *ineligible* sessions (their
-    radio outage processes), so there is no global pending check here.
-    """
-    return _build_lane(
-        config=session.config,
-        loop=session.loop,
-        network=session.network,
-        access=session.access,
-        device=session.device,
-        server=session.server,
-        workload=session.workload,
-        counter_monitor=session.counter_monitor,
-        flow_id=session.flow_id,
-        fault_injector=session.fault_injector,
-        handover=session.handover,
-    )

@@ -39,3 +39,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Figure 16a" in out
         assert "w/ TLC" in out
+
+
+class TestFleet:
+    def test_out_of_range_override_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["fleet", "--ues", "4", "--outage-eta", "1.5", "--no-cache",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "eta must be in (0, 1)" in capsys.readouterr().err

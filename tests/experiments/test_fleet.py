@@ -50,6 +50,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown fault profile"):
             FleetConfig(ues=4, fault_profile="gremlins")
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("n_cycles", 0, "at least one cycle"),
+            ("cycle_duration_s", 0.0, "cycle duration must be positive"),
+            ("cycle_duration_s", -30.0, "cycle duration must be positive"),
+            ("outage_eta", 0.0, r"eta must be in \(0, 1\)"),
+            ("outage_eta", 1.5, r"eta must be in \(0, 1\)"),
+            ("handover_interval_s", 0.0, "handover interval"),
+            ("quota_bytes", 0, "quota must be positive"),
+            ("quota_bytes", -5, "quota must be positive"),
+        ],
+    )
+    def test_rejects_out_of_range_override(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            FleetConfig(ues=4, **{name: value})
+
 
 class TestAssignment:
     def test_zipf_weights_normalized_and_rank_ordered(self):

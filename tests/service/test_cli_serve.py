@@ -56,6 +56,14 @@ class TestServe:
         )
         assert code == 2
 
+    def test_zero_cycle_seconds_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["serve", *FLEET_ARGS, "--cycle-seconds", "0",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "cycle duration must be positive" in capsys.readouterr().err
+
 
 class TestFleetViaService:
     def test_aggregate_matches_batch_engine(self, tmp_path, capsys):
