@@ -394,6 +394,28 @@ def _configure_engine(args) -> None:
     )
 
 
+def _manifest(args, name: str, command: str) -> RunManifest | None:
+    """The run's manifest with its engine block, or None under --no-manifest."""
+    if args.no_manifest:
+        return None
+    manifest = RunManifest(name=name, out_dir=Path(args.out_dir), command=command)
+    manifest.record_engine(
+        workers=parallel._default_workers,
+        cache_dir=(
+            str(parallel._default_cache.directory)
+            if parallel._default_cache is not None else None
+        ),
+    )
+    return manifest
+
+
+def _mix(args) -> dict:
+    """``--mix A,B,...`` as FleetConfig keywords (none when unset)."""
+    if not args.mix:
+        return {}
+    return {"mix": tuple(name.strip() for name in args.mix.split(",") if name.strip())}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -428,19 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
     csv_dir = Path(args.csv) if args.csv else None
-    manifest: RunManifest | None = None
-    if not args.no_manifest:
-        manifest = RunManifest(
-            name="run", out_dir=Path(args.out_dir),
-            command="repro run " + " ".join(names),
-        )
-        manifest.record_engine(
-            workers=parallel._default_workers,
-            cache_dir=(
-                str(parallel._default_cache.directory)
-                if parallel._default_cache is not None else None
-            ),
-        )
+    manifest = _manifest(args, "run", "repro run " + " ".join(names))
     for name in names:
         experiment = EXPERIMENTS[name]
         started = time.time()
@@ -498,11 +508,6 @@ def _run_fleet(args) -> int:
     from .fleet import FleetConfig, run_fleet
     from .runner import SCHEMES
 
-    mix_kwargs = {}
-    if args.mix:
-        mix_kwargs["mix"] = tuple(
-            name.strip() for name in args.mix.split(",") if name.strip()
-        )
     try:
         fleet_config = FleetConfig(
             ues=args.ues,
@@ -516,7 +521,7 @@ def _run_fleet(args) -> int:
             handover_x2=args.handover_x2,
             quota_bytes=args.quota_bytes,
             fault_profile=args.fault_profile or None,
-            **mix_kwargs,
+            **_mix(args),
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -593,19 +598,10 @@ def _run_fleet(args) -> int:
         print(f"[{time.time() - started:.1f}s, peak rss {maxrss_kb / 1024:.0f} MiB]")
     except ImportError:  # pragma: no cover - non-POSIX platform
         print(f"[{time.time() - started:.1f}s]")
-    if not args.no_manifest:
-        manifest = RunManifest(
-            name="fleet", out_dir=Path(args.out_dir),
-            command=f"repro fleet --ues {args.ues}",
-        )
+    manifest = _manifest(args, "fleet", f"repro fleet --ues {args.ues}")
+    if manifest is not None:
         manifest.record_engine(
-            workers=parallel._default_workers,
-            cache_dir=(
-                str(parallel._default_cache.directory)
-                if parallel._default_cache is not None else None
-            ),
-            shards_simulated=report.simulated,
-            shards_cached=report.cached,
+            shards_simulated=report.simulated, shards_cached=report.cached
         )
         manifest.write_text("fleet", rendered)
         manifest.write_text(
@@ -628,11 +624,6 @@ def _run_serve(args) -> int:
     )
     from .fleet import FleetConfig
 
-    mix_kwargs = {}
-    if args.mix:
-        mix_kwargs["mix"] = tuple(
-            name.strip() for name in args.mix.split(",") if name.strip()
-        )
     ingest_faults = None
     if args.ingest_fault_profile:
         ingest_faults = FAULT_PROFILES.get(args.ingest_fault_profile)
@@ -651,7 +642,7 @@ def _run_serve(args) -> int:
             n_cycles=args.cycles,
             cycle_duration_s=args.cycle_seconds,
             zipf_s=args.zipf,
-            **mix_kwargs,
+            **_mix(args),
         )
         replay_config = ReplayConfig(
             duration_s=args.duration,
@@ -731,17 +722,11 @@ def _run_serve(args) -> int:
     print(f"[{time.time() - started:.1f}s wall, "
           f"{service.loop.now():.1f}s simulated]")
 
-    if not args.no_manifest:
-        manifest = RunManifest(
-            name="serve", out_dir=Path(args.out_dir),
-            command=f"repro serve --ues {args.ues} --duration {args.duration}",
-        )
+    manifest = _manifest(
+        args, "serve", f"repro serve --ues {args.ues} --duration {args.duration}"
+    )
+    if manifest is not None:
         manifest.record_engine(
-            workers=parallel._default_workers,
-            cache_dir=(
-                str(parallel._default_cache.directory)
-                if parallel._default_cache is not None else None
-            ),
             service_workers=args.service_workers,
             pool_workers=args.pool_workers,
             resumed=bool(args.resume),

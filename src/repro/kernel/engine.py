@@ -11,9 +11,13 @@ reads.
 This module replaces that hop with a **lane**: one UE's whole simulate()
 phase run over flat per-UE state — plain ints, floats and lists — driven
 by a private event wheel (a heap of tuples) instead of the shared event
-loop.  The hot paths are two long, direction-specialized loops
-(:meth:`_LaneRun._run_ul` / :meth:`_LaneRun._run_dl`) with every
-per-packet value cached in locals; per-packet work shrinks to a few
+loop.  The hot path is one fold loop for both directions
+(:meth:`_LaneRun._fold`) with every per-packet value cached in locals.
+``LaneSpec.is_uplink`` picks only what a surviving air delivery counts
+(UL: folded backhaul, bearer, server monitor, latency; DL: modem, device
+monitor) and which hop a frame folds (UL: device monitor and modem at
+send time; DL: server monitor, LAN link, SPGW charge, SLA verdict and
+one batched eNodeB arrival event).  Per-packet work shrinks to a few
 dozen interpreter operations while reproducing the reference engine
 **bit for bit**:
 
@@ -62,7 +66,7 @@ Two executors share the wheel
 ----------------------------
 
 Sessions whose path state cannot change mid-frame (no outages, no RSS
-recording, no quota, no handover) run the **fold loops** above — the
+recording, no quota, no handover) run the **fold loop** above — the
 fastest path, because whole frames collapse into straight-line
 arithmetic.  Sessions with a radio outage process, RSS recording, a PCRF
 quota or an X2 handover schedule run the **general-mode executor**
@@ -116,7 +120,7 @@ SETTLE_S = 2.0
 
 # Wheel event kinds (first tuple field after (time, seq)).
 _K_FRAME = 0  # workload emits one frame
-_K_ARRIVAL = 1  # DL chunk reaches the eNodeB (post LAN + SPGW + backhaul)
+_K_ARRIVAL = 1  # DL frame's chunks reach the eNodeB (post LAN + SPGW + backhaul)
 _K_DELIVER = 2  # air transmission completes (post propagation + queue + serialization)
 _K_CHECK = 3  # periodic RRC COUNTER CHECK
 
@@ -198,7 +202,7 @@ class LaneSpec:
 
     # ---- general mode (outage / quota / RSS / handover sessions) ----
     #: Run the general-mode executor (:class:`_GeneralRun`) instead of
-    #: the direction-specialized fold loops.
+    #: the fold loop.
     general: bool = False
     ue: object = None  # cellular.enodeb.UeContext
     access: object = None  # cellular.network.UeAccess
@@ -355,10 +359,7 @@ class _LaneRun:
         jitter = self.wl_rng.uniform(0.0, 1.0 / self.fps)
         self.seq += 1
         heappush(self.heap, (self.spec.t0 + jitter, self.seq, _K_FRAME, 0, 0))
-        if self.spec.is_uplink:
-            self._run_ul()
-        else:
-            self._run_dl()
+        self._fold()
         self._flush()
 
     # ---------------------------------------------------------- cold paths
@@ -383,17 +384,20 @@ class _LaneRun:
                 same += load
         return higher, same
 
-    def _counter_check(self, t: float, ul_total: int, dl_total: int) -> None:
-        # rrc.perform_counter_check + modem.counter_check at time t.
+    def _counter_check(self, t: float, total: int) -> None:
+        # rrc.perform_counter_check + modem.counter_check at time t; the
+        # lane's one modem total is its direction's counter.
         self.checks_sent += 1
         self.served += 1
         if self.sink is not None:
+            ul_total, dl_total = (total, 0) if self.spec.is_uplink else (0, total)
             self.sink(CounterCheckResponse(t=t, uplink_bytes=ul_total, downlink_bytes=dl_total))
 
-    # --------------------------------------------------------- uplink loop
+    # ------------------------------------------------------------ fold loop
 
-    def _run_ul(self) -> None:
+    def _fold(self) -> None:
         # Hot state cached in locals; synced back to attributes at the end.
+        ul = self.spec.is_uplink
         heap = self.heap
         pop, push = heappop, heappush
         end = self.end
@@ -442,18 +446,23 @@ class _LaneRun:
         check_dt = self.check_dt
         gen = self.gen
 
-        dev = self.dev_cum  # device.ul_monitor
+        dev = self.dev_cum  # device.ul_monitor (UL) / dl_monitor (DL)
         dev_times, dev_cums, dev_total = dev.times, dev.cums, dev.total
-        mod = self.mod_cum  # modem.ul_sent
+        mod = self.mod_cum  # modem.ul_sent (UL) / dl_received (DL)
         mod_times, mod_cums, mod_total = mod.times, mod.cums, mod.total
         bearer = self.bearer_cum
         b_times, b_cums, b_total = bearer.times, bearer.cums, bearer.total
-        srv = self.srv_cum  # server.ul_monitor
+        srv = self.srv_cum  # server.ul_monitor (UL) / dl_monitor (DL)
         s_times, s_cums, s_total = srv.times, srv.cums, srv.total
         latencies = self.latencies
         received = 0
-        link_p = link_b = 0  # backhaul sent == delivered (pure delay, no loss)
+        lan_s = self.lan_s
         bk_s = self.bk_s
+        sla = self.sla
+        # The folded wired hop — backhaul (UL) or LAN (DL) — is pure delay,
+        # no loss: sent == delivered.
+        link_p = link_b = 0
+        mb_pass_p = mb_pass_b = mb_drop_p = mb_drop_b = 0
 
         while heap:
             te, _, kind, a, b = pop(heap)
@@ -463,14 +472,15 @@ class _LaneRun:
             # data activity, so on a time tie it holds the smaller loop
             # seq and fires before this event — process it first.
             if connected and release_at <= te:
-                self._counter_check(release_at, mod_total, 0)
+                self._counter_check(release_at, mod_total)
                 self.releases += 1
                 connected = False
                 gen += 1
                 release_at = _INF
 
             if kind == _K_DELIVER:
-                # AirInterface._transmit -> ENodeB._air_deliver_ul.
+                # AirInterface._transmit -> ENodeB._air_deliver_ul/_dl (the
+                # UE stays attached and connected: no outages, no handovers).
                 trans_p += 1
                 trans_b += a
                 # RadioChannel.survives_air: _walk_rss (gauss) then
@@ -500,31 +510,47 @@ class _LaneRun:
                     if loss > 1.0:
                         loss = 1.0
                 if radio_random() >= loss:
-                    # Backhaul link (pure delay) folded: its delivery event
-                    # schedules nothing and nothing fired in (te, te + bk_s]
-                    # reads the counters written here.
-                    link_p += 1
-                    link_b += a
-                    tg = te + bk_s
-                    # Spgw.receive_uplink: bearer charge + server sink.
-                    b_total += a
-                    if b_times and b_times[-1] == tg:
-                        b_cums[-1] = b_total
+                    if ul:
+                        # Backhaul link (pure delay) folded: its delivery
+                        # event schedules nothing and nothing fired in
+                        # (te, te + bk_s] reads the counters written here.
+                        link_p += 1
+                        link_b += a
+                        tg = te + bk_s
+                        # Spgw.receive_uplink: bearer charge + server sink.
+                        b_total += a
+                        if b_times and b_times[-1] == tg:
+                            b_cums[-1] = b_total
+                        else:
+                            b_times.append(tg)
+                            b_cums.append(b_total)
+                        s_total += a  # server.ul_monitor.observe
+                        if s_times and s_times[-1] == tg:
+                            s_cums[-1] = s_total
+                        else:
+                            s_times.append(tg)
+                            s_cums.append(s_total)
+                        received += 1
+                        latencies.append(tg - b)  # b = packet created_at
                     else:
-                        b_times.append(tg)
-                        b_cums.append(b_total)
-                    s_total += a  # server.ul_monitor.observe
-                    if s_times and s_times[-1] == tg:
-                        s_cums[-1] = s_total
-                    else:
-                        s_times.append(tg)
-                        s_cums.append(s_total)
-                    received += 1
-                    latencies.append(tg - b)  # b = packet created_at
+                        mod_total += a  # modem.count_downlink
+                        if mod_times and mod_times[-1] == te:
+                            mod_cums[-1] = mod_total
+                        else:
+                            mod_times.append(te)
+                            mod_cums.append(mod_total)
+                        dev_total += a  # device.deliver -> dl_monitor.observe
+                        if dev_times and dev_times[-1] == te:
+                            dev_cums[-1] = dev_total
+                        else:
+                            dev_times.append(te)
+                            dev_cums.append(dev_total)
                 # else: phy-rss loss
+                continue
 
-            elif kind == _K_FRAME:
-                # FrameWorkload._emit_frame with sender = EdgeDevice.send.
+            if kind == _K_FRAME:
+                # FrameWorkload._emit_frame with sender = EdgeDevice.send
+                # (UL) or EdgeServer.send (DL).
                 if te > until:
                     continue
                 # _frame_size, op for op (incl. the property recompute and
@@ -544,92 +570,156 @@ class _LaneRun:
                 if remaining < 64:
                     remaining = 64
                 frames_sent += 1
-                # All chunks of one frame land at the same te inside one
-                # handler, so the per-chunk monitor/modem adds coalesce
-                # into a single cumulative point — nothing reads the
-                # counters between chunks.
-                dev_total += remaining  # device.ul_monitor.observe
-                if dev_times and dev_times[-1] == te:
-                    dev_cums[-1] = dev_total
-                else:
-                    dev_times.append(te)
-                    dev_cums.append(dev_total)
-                mod_total += remaining  # access.send_uplink -> modem.count_uplink
-                if mod_times and mod_times[-1] == te:
-                    mod_cums[-1] = mod_total
-                else:
-                    mod_times.append(te)
-                    mod_cums.append(mod_total)
                 bytes_offered += remaining
-                while remaining > 0:
-                    chunk = remaining if remaining < packet_bytes else packet_bytes
-                    # enodeb.receive_uplink -> rrc.on_data_activity:
-                    # _setup (arming the periodic check) then release rearm.
-                    if not connected:
-                        connected = True
-                        self.setups += 1
-                        if check_dt is not None:
-                            seq += 1
-                            push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-                    release_at = te + timeout
-                    # uplink_air.submit — RateWindow.observe(te, chunk):
-                    bits = chunk * 8
-                    win_samples.append((te, bits))
-                    win_bits += bits
-                    cutoff = te - 1.0  # window_s = 1.0 (reference default)
-                    while win_samples and win_samples[0][0] <= cutoff:
-                        win_bits -= win_samples.popleft()[1]
-                    off_p += 1
-                    off_b += chunk
-                    # submit draws rng.random() before drop_probability.
-                    u = air_random()
-                    if split_general:
-                        higher, same = self._split(win_bits / 1.0)
+                if ul:
+                    # All chunks of one frame land at the same te inside one
+                    # handler, so the per-chunk monitor/modem adds coalesce
+                    # into a single cumulative point — nothing reads the
+                    # counters between chunks.  The chunks go to the air
+                    # in the shared submit loop below, at the same te.
+                    dev_total += remaining  # device.ul_monitor.observe
+                    if dev_times and dev_times[-1] == te:
+                        dev_cums[-1] = dev_total
                     else:
-                        higher = bg_higher
-                        same = bg_same + win_bits / 1.0  # RateWindow.rate_bps
-                    # drop_probability:
-                    usable = cap_usable - higher
-                    if usable < 0.0:
-                        usable = 0.0
-                    if same <= usable or same <= 0:
-                        p = 0.0
-                    elif usable <= 0:
-                        p = 1.0
+                        dev_times.append(te)
+                        dev_cums.append(dev_total)
+                    mod_total += remaining  # access.send_uplink -> modem.count_uplink
+                    if mod_times and mod_times[-1] == te:
+                        mod_cums[-1] = mod_total
                     else:
-                        p = 1.0 - usable / same
-                    if u < p:
-                        drop_p += 1
-                        drop_b += chunk
+                        mod_times.append(te)
+                        mod_cums.append(mod_total)
+                else:
+                    # Fold the LAN hop (te + lan_s), SPGW charge and
+                    # middlebox SLA check.  The eNodeB arrival stays a real
+                    # wheel event: a counter check or release may fire
+                    # between the charge and the arrival.
+                    tg = te + lan_s  # the LAN link's schedule_at(depart + latency)
+                    # The reference fragments full packet_bytes chunks
+                    # first, then the remainder; every chunk of the frame
+                    # takes the same per-chunk writes at the same
+                    # timestamps (server monitor at te, LAN + charge at tg,
+                    # SLA verdict tg - te), so the whole frame folds into
+                    # per-frame arithmetic.
+                    n_chunks = (remaining + packet_bytes - 1) // packet_bytes
+                    s_total += remaining  # server.dl_monitor.observe
+                    if s_times and s_times[-1] == te:
+                        s_cums[-1] = s_total
                     else:
-                        # queue_delay recomputes _demand_split at the same
-                        # instant with unchanged state — reuse (higher, same).
-                        rho = (higher + same) / capacity
-                        if rho > 0.99:
-                            rho = 0.99
-                        if rho < 0.5:
-                            qd = 0.0
-                        else:
-                            qd = 0.002 * rho / (1.0 - rho)
-                            if qd > max_qd:
-                                qd = max_qd
-                        delay = prop + qd + chunk * 8.0 / capacity
+                        s_times.append(te)
+                        s_cums.append(s_total)
+                    link_p += n_chunks  # lan link send() + _deliver() at tg
+                    link_b += remaining
+                    b_total += remaining  # spgw.send_downlink charge at tg
+                    if b_times and b_times[-1] == tg:
+                        b_cums[-1] = b_total
+                    else:
+                        b_times.append(tg)
+                        b_cums.append(b_total)
+                    # The reference schedules the next frame before the
+                    # backhaul arrivals exist (the LAN delivery at tg
+                    # schedules them), so the frame must carry the smaller
+                    # seq.
+                    seq += 1
+                    push(heap, (te + frame_dt, seq, _K_FRAME, 0, 0))
+                    # SlaMiddlebox.process: loop.now() - created_at > budget
+                    # (charged, *then* dropped — that asymmetry is the point).
+                    if sla is not None and tg - te > sla:
+                        mb_drop_p += n_chunks
+                        mb_drop_b += remaining
+                    else:
+                        mb_pass_p += n_chunks
+                        mb_pass_b += remaining
+                        # One frame's arrivals all land at the same t_arr
+                        # with consecutive seqs in the reference, so nothing
+                        # can interleave between them — batch them into one
+                        # event carrying the frame's byte count.
+                        t_arr = tg + bk_s  # _forward_backhaul_dl: schedule(+bk) at tg
                         seq += 1
-                        push(heap, (te + delay, seq, _K_DELIVER, chunk, te))
-                    remaining -= chunk
-                seq += 1
-                push(heap, (te + frame_dt, seq, _K_FRAME, 0, 0))
-
+                        push(heap, (t_arr, seq, _K_ARRIVAL, remaining, 0))
+                    continue
+            elif kind == _K_ARRIVAL:
+                # One DL frame's chunks, delivered back to back as in the
+                # reference.  Each is _forward_backhaul_dl's deliver ->
+                # ENodeB.receive_downlink.
+                remaining = a
             else:  # _K_CHECK (stale generations are cancelled timers)
                 if a == gen and connected:
-                    self._counter_check(te, mod_total, 0)
+                    self._counter_check(te, mod_total)
                     seq += 1
                     push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
+                continue
+
+            # The frame's chunks reach the eNodeB at te: an UL frame as it
+            # is sent, a DL frame on its arrival event.  Full packet_bytes
+            # fragments first, then the remainder, as the reference cuts them.
+            while remaining > 0:
+                chunk = remaining if remaining < packet_bytes else packet_bytes
+                # enodeb.receive_uplink/_downlink -> rrc.on_data_activity:
+                # _setup (arming the periodic check) then release rearm.
+                if not connected:
+                    connected = True
+                    self.setups += 1
+                    if check_dt is not None:
+                        seq += 1
+                        push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
+                release_at = te + timeout
+                # air.submit — RateWindow.observe(te, chunk):
+                bits = chunk * 8
+                win_samples.append((te, bits))
+                win_bits += bits
+                cutoff = te - 1.0  # window_s = 1.0 (reference default)
+                while win_samples and win_samples[0][0] <= cutoff:
+                    win_bits -= win_samples.popleft()[1]
+                off_p += 1
+                off_b += chunk
+                # submit draws rng.random() before drop_probability.
+                u = air_random()
+                if split_general:
+                    higher, same = self._split(win_bits / 1.0)
+                else:
+                    higher = bg_higher
+                    same = bg_same + win_bits / 1.0  # RateWindow.rate_bps
+                # drop_probability:
+                usable = cap_usable - higher
+                if usable < 0.0:
+                    usable = 0.0
+                if same <= usable or same <= 0:
+                    p = 0.0
+                elif usable <= 0:
+                    p = 1.0
+                else:
+                    p = 1.0 - usable / same
+                if u < p:
+                    drop_p += 1
+                    drop_b += chunk
+                else:
+                    # queue_delay recomputes _demand_split at the same
+                    # instant with unchanged state — reuse (higher, same).
+                    rho = (higher + same) / capacity
+                    if rho > 0.99:
+                        rho = 0.99
+                    if rho < 0.5:
+                        qd = 0.0
+                    else:
+                        qd = 0.002 * rho / (1.0 - rho)
+                        if qd > max_qd:
+                            qd = max_qd
+                    delay = prop + qd + chunk * 8.0 / capacity
+                    seq += 1
+                    # b = te: the UL packet's created_at (DL ignores it).
+                    push(heap, (te + delay, seq, _K_DELIVER, chunk, te))
+                remaining -= chunk
+            if ul:
+                # The reference's UL frame handler schedules the next frame
+                # after its chunks' air-delivery events.
+                seq += 1
+                push(heap, (te + frame_dt, seq, _K_FRAME, 0, 0))
 
         # A release armed before the horizon's edge still fires inside the
         # settle window even with no later event to trigger the lazy check.
         if connected and release_at <= end:
-            self._counter_check(release_at, mod_total, 0)
+            self._counter_check(release_at, mod_total)
             self.releases += 1
             connected = False
             gen += 1
@@ -652,278 +742,6 @@ class _LaneRun:
         bearer.total = b_total
         srv.total = s_total
         self.received = received
-        self.charged = b_total
-        self.link_sent_p = self.link_del_p = link_p
-        self.link_sent_b = self.link_del_b = link_b
-
-    # ------------------------------------------------------- downlink loop
-
-    def _run_dl(self) -> None:
-        heap = self.heap
-        pop, push = heappop, heappush
-        end = self.end
-        until = self.until
-        seq = self.seq
-
-        frame_dt = self.frame_dt
-        packet_bytes = self.packet_bytes
-        fps = self.fps
-        mean_bitrate = self.mean_bitrate
-        iframe_n = self.iframe_interval
-        iframe_scale = self.iframe_scale
-        size_sigma = self.size_sigma
-        wl_random = self.wl_rng.random
-        frames_sent = self.frames_sent
-        bytes_offered = self.bytes_offered
-
-        air_random = self.air_random
-        capacity = self.capacity
-        cap_usable = self.cap_usable
-        prop = self.prop
-        max_qd = self.max_qd
-        split_general = self.split_general
-        bg_higher = self.bg_higher
-        bg_same = self.bg_same
-        win_samples = self.win_samples
-        win_bits = self.win_bits
-        off_p = off_b = drop_p = drop_b = trans_p = trans_b = 0
-
-        radio_rng = self.radio_rng
-        radio_random = radio_rng.random
-        # random.gauss is inlined in the deliver branch (same algorithm,
-        # same draws); its carry-over cache rides along as a local.
-        gauss_next = radio_rng.gauss_next
-        rss = self.rss
-        rss_base = self.rss_base
-        rss_noise = self.rss_noise
-        rss_floor = self.rss_floor
-        rss_ceiling = self.rss_ceiling
-        base_loss = self.base_loss
-        loss_at_floor = self.loss_at_floor
-
-        connected = self.connected
-        release_at = self.release_at
-        timeout = self.timeout
-        check_dt = self.check_dt
-        gen = self.gen
-
-        dev = self.dev_cum  # device.dl_monitor
-        dev_times, dev_cums, dev_total = dev.times, dev.cums, dev.total
-        mod = self.mod_cum  # modem.dl_received
-        mod_times, mod_cums, mod_total = mod.times, mod.cums, mod.total
-        bearer = self.bearer_cum
-        b_times, b_cums, b_total = bearer.times, bearer.cums, bearer.total
-        srv = self.srv_cum  # server.dl_monitor
-        s_times, s_cums, s_total = srv.times, srv.cums, srv.total
-        lan_s = self.lan_s
-        bk_s = self.bk_s
-        sla = self.sla
-        link_p = link_b = 0  # LAN sent == delivered (pure delay, no loss)
-        mb_pass_p = mb_pass_b = mb_drop_p = mb_drop_b = 0
-
-        while heap:
-            te, _, kind, a, b = pop(heap)
-            if te > end:
-                break
-            if connected and release_at <= te:
-                self._counter_check(release_at, 0, mod_total)
-                self.releases += 1
-                connected = False
-                gen += 1
-                release_at = _INF
-
-            if kind == _K_DELIVER:
-                # AirInterface._transmit -> ENodeB._air_deliver_dl (the UE
-                # stays attached and connected: no outages, no handovers).
-                trans_p += 1
-                trans_b += a
-                z = gauss_next
-                gauss_next = None
-                if z is None:
-                    x2pi = radio_random() * _TWOPI
-                    g2rad = _sqrt(-2.0 * _log(1.0 - radio_random()))
-                    z = _cos(x2pi) * g2rad
-                    gauss_next = _sin(x2pi) * g2rad
-                step = 0.0 + z * rss_noise  # gauss: mu + z * sigma, mu = 0.0
-                drift = 0.25 * (rss_base - rss)
-                rss = rss + drift + step
-                if rss < rss_floor:
-                    rss = rss_floor
-                elif rss > rss_ceiling:
-                    rss = rss_ceiling
-                if rss >= GOOD_RSS_DBM:
-                    loss = base_loss
-                else:
-                    span = GOOD_RSS_DBM - rss_floor
-                    frac = (GOOD_RSS_DBM - rss) / span
-                    if frac > 1.0:
-                        frac = 1.0
-                    loss = base_loss + frac * loss_at_floor
-                    if loss > 1.0:
-                        loss = 1.0
-                if radio_random() >= loss:
-                    mod_total += a  # modem.count_downlink
-                    if mod_times and mod_times[-1] == te:
-                        mod_cums[-1] = mod_total
-                    else:
-                        mod_times.append(te)
-                        mod_cums.append(mod_total)
-                    dev_total += a  # device.deliver -> dl_monitor.observe
-                    if dev_times and dev_times[-1] == te:
-                        dev_cums[-1] = dev_total
-                    else:
-                        dev_times.append(te)
-                        dev_cums.append(dev_total)
-                # else: phy-rss loss
-
-            elif kind == _K_ARRIVAL:
-                # One frame's chunks, delivered back to back as in the
-                # reference.  Each is _forward_backhaul_dl's deliver ->
-                # ENodeB.receive_downlink: rrc.on_data_activity then
-                # downlink_air.submit.
-                for chunk in a:
-                    if not connected:
-                        connected = True
-                        self.setups += 1
-                        if check_dt is not None:
-                            seq += 1
-                            push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-                    release_at = te + timeout
-                    bits = chunk * 8
-                    win_samples.append((te, bits))
-                    win_bits += bits
-                    cutoff = te - 1.0
-                    while win_samples and win_samples[0][0] <= cutoff:
-                        win_bits -= win_samples.popleft()[1]
-                    off_p += 1
-                    off_b += chunk
-                    u = air_random()
-                    if split_general:
-                        higher, same = self._split(win_bits / 1.0)
-                    else:
-                        higher = bg_higher
-                        same = bg_same + win_bits / 1.0
-                    usable = cap_usable - higher
-                    if usable < 0.0:
-                        usable = 0.0
-                    if same <= usable or same <= 0:
-                        p = 0.0
-                    elif usable <= 0:
-                        p = 1.0
-                    else:
-                        p = 1.0 - usable / same
-                    if u < p:
-                        drop_p += 1
-                        drop_b += chunk
-                    else:
-                        rho = (higher + same) / capacity
-                        if rho > 0.99:
-                            rho = 0.99
-                        if rho < 0.5:
-                            qd = 0.0
-                        else:
-                            qd = 0.002 * rho / (1.0 - rho)
-                            if qd > max_qd:
-                                qd = max_qd
-                        delay = prop + qd + chunk * 8.0 / capacity
-                        seq += 1
-                        push(heap, (te + delay, seq, _K_DELIVER, chunk, 0))
-
-            elif kind == _K_FRAME:
-                # FrameWorkload._emit_frame with sender = EdgeServer.send,
-                # folding the LAN hop (te + lan_s), SPGW charge and
-                # middlebox SLA check.  The eNodeB arrival stays a real
-                # wheel event: a counter check or release may fire between
-                # the charge and the arrival.
-                if te > until:
-                    continue
-                mean = mean_bitrate / 8.0 / fps
-                if iframe_n > 0:
-                    p_frame = mean * iframe_n / (iframe_n - 1 + iframe_scale)
-                    mean = p_frame * (iframe_scale if frames_sent % iframe_n == 0 else 1.0)
-                while True:
-                    u1 = wl_random()
-                    u2 = 1.0 - wl_random()
-                    z = _NV_MAGIC * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
-                        break
-                size = _exp(0.0 + z * size_sigma) * mean
-                remaining = int(size)
-                if remaining < 64:
-                    remaining = 64
-                frames_sent += 1
-                tg = te + lan_s  # the LAN link's schedule_at(depart + latency)
-                # The reference fragments full packet_bytes chunks first,
-                # then the remainder; every chunk of the frame takes the
-                # same per-chunk writes at the same timestamps (server
-                # monitor at te, LAN + charge at tg, SLA verdict tg - te),
-                # so the whole frame folds into per-frame arithmetic.
-                n_full, last = divmod(remaining, packet_bytes)
-                chunks = (packet_bytes,) * n_full + ((last,) if last else ())
-                s_total += remaining  # server.dl_monitor.observe
-                if s_times and s_times[-1] == te:
-                    s_cums[-1] = s_total
-                else:
-                    s_times.append(te)
-                    s_cums.append(s_total)
-                link_p += len(chunks)  # lan link send() + _deliver() at tg
-                link_b += remaining
-                b_total += remaining  # spgw.send_downlink charge at tg
-                if b_times and b_times[-1] == tg:
-                    b_cums[-1] = b_total
-                else:
-                    b_times.append(tg)
-                    b_cums.append(b_total)
-                bytes_offered += remaining
-                # The reference schedules the next frame before the
-                # backhaul arrivals exist (the LAN delivery at tg schedules
-                # them), so the frame must carry the smaller seq.
-                seq += 1
-                push(heap, (te + frame_dt, seq, _K_FRAME, 0, 0))
-                # SlaMiddlebox.process: loop.now() - created_at > budget
-                # (charged, *then* dropped — that asymmetry is the point).
-                if sla is not None and tg - te > sla:
-                    mb_drop_p += len(chunks)
-                    mb_drop_b += remaining
-                else:
-                    mb_pass_p += len(chunks)
-                    mb_pass_b += remaining
-                    # One frame's arrivals all land at the same t_arr with
-                    # consecutive seqs in the reference, so nothing can
-                    # interleave between them — batch them into one event.
-                    t_arr = tg + bk_s  # _forward_backhaul_dl: schedule(+bk) at tg
-                    seq += 1
-                    push(heap, (t_arr, seq, _K_ARRIVAL, chunks, 0))
-
-            else:  # _K_CHECK
-                if a == gen and connected:
-                    self._counter_check(te, 0, mod_total)
-                    seq += 1
-                    push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-
-        if connected and release_at <= end:
-            self._counter_check(release_at, 0, mod_total)
-            self.releases += 1
-            connected = False
-            gen += 1
-            release_at = _INF
-
-        self.seq = seq
-        self.frames_sent = frames_sent
-        self.bytes_offered = bytes_offered
-        self.win_bits = win_bits
-        self.off_p, self.off_b = off_p, off_b
-        self.drop_p, self.drop_b = drop_p, drop_b
-        self.trans_p, self.trans_b = trans_p, trans_b
-        self.rss = rss
-        radio_rng.gauss_next = gauss_next
-        self.connected = connected
-        self.release_at = release_at
-        self.gen = gen
-        dev.total = dev_total
-        mod.total = mod_total
-        bearer.total = b_total
-        srv.total = s_total
         self.charged = b_total
         self.link_sent_p = self.link_del_p = link_p
         self.link_sent_b = self.link_del_b = link_b
@@ -1015,7 +833,7 @@ class _LaneRun:
 class _GeneralRun:
     """General-mode lane: outage, RSS, quota and handover sessions.
 
-    The fold loops win their speedup by collapsing whole frames into
+    The fold loop wins its speedup by collapsing whole frames into
     straight-line arithmetic, which is only sound while the UE's path
     state cannot change mid-frame.  Outage windows, RLF detaches, PCRF
     policer refills and handover breaks all violate that invariant, so

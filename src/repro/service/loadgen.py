@@ -82,6 +82,10 @@ class ReplayConfig:
             raise ValueError(f"replay duration must be positive, got {self.duration_s}")
         if self.vendors < 1:
             raise ValueError(f"need at least one vendor, got {self.vendors}")
+        for name in ("retry_backoff_s", "max_attempts", "max_waves"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass

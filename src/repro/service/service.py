@@ -6,8 +6,8 @@ network service:
 * **Ingestion** (:meth:`ReconciliationService.submit`) admits *claims*
   — plain dicts a vendor would POST — through a synchronous pipeline:
   shape checks, duplicate-id rejection, a per-vendor token bucket, and
-  finally bounded-queue admission (:class:`~repro.service.sim_async.QueueFull`
-  maps to a ``backpressure`` rejection the caller can retry).
+  finally bounded-queue admission (a full queue maps to a
+  ``backpressure`` rejection the caller can retry).
 * **Workers** (``config.workers`` coroutines on the sim runtime) drain
   the queue and settle each claim: shard claims are simulated through
   the tiered result cache, PoC claims run Algorithm 2 via
@@ -70,7 +70,7 @@ from ..poc.verifier import PublicVerifier
 from .cache import TieredCache
 from .pool import SimProcessPool
 from .ratelimit import TokenBucket
-from .sim_async import QueueFull, SimQueue, SimRuntime
+from .sim_async import SimQueue, SimRuntime
 
 CLAIM_KINDS = ("shard", "poc", "probe")
 
@@ -141,6 +141,10 @@ class ServiceConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.memory_cache_entries < 1:
+            raise ValueError(
+                f"memory_cache_entries must be >= 1, got {self.memory_cache_entries}"
+            )
 
 
 @dataclass(frozen=True)
@@ -515,10 +519,10 @@ class ReconciliationService:
             return self._reject("malformed")
         if not self._bucket(vendor).try_acquire(self.loop.now()):
             return self._reject("rate-limited")
-        try:
-            self.queue.put_nowait(claim)
-        except QueueFull:
+        if self.queue.full:
             return self._reject("backpressure")
+        # Record the admission before the hand-off: an idle worker runs
+        # inside put_nowait, and its outcome record must follow this one.
         self._accepted_ids.add(claim_id)
         self._ingest_t[claim_id] = self.loop.now()
         self.ledger.journal(
@@ -532,6 +536,7 @@ class ReconciliationService:
             }
         )
         self.metrics.counter("service.ingested", vendor=vendor).inc()
+        self.queue.put_nowait(claim)
         self.metrics.gauge("service.queue.depth").set(self.queue.qsize())
         return Admission(True)
 

@@ -34,6 +34,7 @@ from repro.experiments.scenarios import (
 )
 from repro.kernel import KERNELS, resolve_kernel
 from repro.netsim.faults import FAULT_PROFILES, FaultSchedule, FaultSpec
+from repro.netsim.packet import Direction
 
 SHORT = dict(n_cycles=2, cycle_duration_s=10.0)
 
@@ -216,6 +217,52 @@ def test_scenario_bit_exact(config):
         )
     assert flow(ref.network.middlebox.passed) == flow(bat.network.middlebox.passed)
     assert flow(ref.network.middlebox.dropped) == flow(bat.network.middlebox.dropped)
+
+
+#: Background mixes no scenario or fleet config installs (they load QCI 9
+#: only, the flows' own class): two classes take the kernel's general
+#: demand split, and QCI 7 alone outranks the QCI-9 flow.
+DEMAND_SPLIT = [
+    pytest.param(WEBCAM_UDP_UL, {7: 20e6, 9: 110e6}, id="ul-two-classes"),
+    pytest.param(VRIDGE_DL, {7: 20e6, 9: 110e6}, id="dl-two-classes"),
+    pytest.param(WEBCAM_UDP_UL, {7: 118.5e6}, id="ul-higher-priority"),
+    pytest.param(VRIDGE_DL, {7: 112e6}, id="dl-higher-priority"),
+]
+
+
+@pytest.mark.parametrize("app, background", DEMAND_SPLIT)
+def test_demand_split_bit_exact(app, background):
+    config = app.with_(**SHORT)
+    ref = ScenarioRunner(config, kernel="reference")
+    bat = ScenarioRunner(config, kernel="batched")
+    for runner in (ref, bat):
+        enodeb = runner.network.enodeb
+        for air in (enodeb.uplink_air, enodeb.downlink_air):
+            for qci, rate_bps in background.items():
+                air.set_background(qci, rate_bps)
+    ref_result = ref.run()
+    bat_result = bat.run()
+    assert bat.kernel_used == "batched"
+
+    assert ref_result.usages == bat_result.usages
+    assert ref_result.outcomes == bat_result.outcomes
+    assert ref_result.metrics == bat_result.metrics
+    assert set(ref.rng._streams) == set(bat.rng._streams)
+    for name, stream in ref.rng._streams.items():
+        assert stream.getstate() == bat.rng._streams[name].getstate(), name
+
+    for pick in ("offered", "dropped", "transmitted"):
+        assert flow(getattr(ref.network.enodeb.uplink_air, pick)) == flow(
+            getattr(bat.network.enodeb.uplink_air, pick)
+        )
+        assert flow(getattr(ref.network.enodeb.downlink_air, pick)) == flow(
+            getattr(bat.network.enodeb.downlink_air, pick)
+        )
+    # The background must actually congest the flow's air: some packets
+    # dropped, not all of them.
+    enodeb = bat.network.enodeb
+    air = enodeb.uplink_air if config.direction is Direction.UPLINK else enodeb.downlink_air
+    assert 0 < air.dropped.packets < air.offered.packets
 
 
 def metrics_key(snapshot):

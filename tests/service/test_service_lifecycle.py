@@ -9,13 +9,23 @@ Each class here pins a bug that used to be latent:
   in-memory view while the file handle silently dropped the line, so
   memory and disk diverged;
 * ``ServiceConfig`` accepted zero/negative vendor rates, bursts and
-  service times, deferring the blow-up to deep inside a worker.
+  service times, deferring the blow-up to deep inside a worker;
+  ``ReplayConfig`` accepted negative retry and recovery knobs, which
+  dropped claims, skipped recovery or failed mid-replay;
+* ``submit()`` handed a claim to an idle worker before journalling its
+  admission, so a synchronous rejection wrote ``unclaimed`` ahead of
+  ``accepted`` and left a stale ingest timestamp behind.
 """
 
 import pytest
 
 from repro.netsim.events import EventLoop
-from repro.service import ReconciliationService, ServiceConfig, SettlementLedger
+from repro.service import (
+    ReconciliationService,
+    ReplayConfig,
+    ServiceConfig,
+    SettlementLedger,
+)
 
 
 class TestDrainAwareClose:
@@ -98,6 +108,7 @@ class TestServiceConfigValidation:
             {"shard_service_time_s": -0.05},
             {"poc_service_time_s": -1e-9},
             {"probe_service_time_s": -2.0},
+            {"memory_cache_entries": 0},
         ],
     )
     def test_invalid_config_rejected_up_front(self, kwargs):
@@ -110,3 +121,54 @@ class TestServiceConfigValidation:
             poc_service_time_s=0.0,
             probe_service_time_s=0.0,
         )
+
+
+class TestReplayConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_attempts": -1},
+            {"retry_backoff_s": -0.5},
+            {"max_waves": -3},
+        ],
+    )
+    def test_invalid_config_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError):
+            ReplayConfig(**kwargs)
+
+    def test_zero_retry_knobs_are_legal(self):
+        ReplayConfig(max_attempts=0, retry_backoff_s=0.0, max_waves=0)
+
+
+class TestAdmissionJournalOrder:
+    def test_outcome_follows_admission_with_idle_worker(self):
+        """An idle worker settles a claim inside ``submit``; claims it
+        rejects synchronously must still journal ``accepted`` first."""
+        service = ReconciliationService(
+            loop=EventLoop(), config=ServiceConfig(workers=1)
+        )
+        service.start()
+        claims = [
+            {
+                "id": "c1",
+                "vendor": "v0",
+                "kind": "shard",
+                "shard": {"index": 0, "seed": "corrupt"},
+            },
+            {"id": "c2", "vendor": "v0", "kind": "probe", "ref": ""},
+        ]
+        for claim in claims:
+            assert service.submit(claim).accepted
+        # Both claims were rejected inside submit(), each outcome after
+        # its own admission record.
+        records = service.ledger.journal_records()
+        assert [(r["type"], r["id"]) for r in records] == [
+            ("accepted", "c1"),
+            ("unclaimed", "c1"),
+            ("accepted", "c2"),
+            ("unclaimed", "c2"),
+        ]
+        service.drain()
+        assert service._ingest_t == {}
+        service.close()
+        assert service.crashed_workers() == []
