@@ -62,16 +62,40 @@ def test_end_to_end_packet_rate(benchmark, archive):
     )
 
 
-def _timed_simulate(config, kernel):
-    """One scenario run; returns (air packets offered, cpu seconds)."""
-    runner = ScenarioRunner(config, kernel=kernel)
-    t0 = time.process_time()
-    runner.simulate()
-    dt = time.process_time() - t0
+def _min_cpu(make_runner, method, rounds, observe):
+    """Interleaved min-of-``rounds`` process CPU time of each kernel.
+
+    Each round builds a reference, then a batched runner with
+    ``make_runner(kernel)`` and times only its ``method`` call:
+    interleaving makes ambient load on a noisy shared host hit both
+    kernels alike, and ``time.process_time`` ignores wall-clock jitter.
+    ``observe(kernel, runner)`` runs after each timed call.  Returns
+    ``(cpu, seen)``: kernel -> min CPU seconds, and kernel -> the
+    per-round ``observe`` results.
+    """
+    cpu = {}
+    seen = {}
+    for _ in range(rounds):
+        for kernel in ("reference", "batched"):
+            runner = make_runner(kernel)
+            t0 = time.process_time()
+            getattr(runner, method)()
+            dt = time.process_time() - t0
+            cpu[kernel] = min(cpu.get(kernel, dt), dt)
+            seen.setdefault(kernel, []).append(observe(kernel, runner))
+    return cpu, seen
+
+
+def _offered_packets(kernel, runner):
+    """Air packets one scenario run offered, on the kernel it asked for."""
     assert runner.kernel_used == kernel
     enb = runner.network.enodeb
-    packets = enb.uplink_air.offered.packets + enb.downlink_air.offered.packets
-    return packets, dt
+    return enb.uplink_air.offered.packets + enb.downlink_air.offered.packets
+
+
+def _all_sessions_on(kernel, runner):
+    """No fleet session fell back off the requested kernel."""
+    assert set(runner.kernel_used.values()) == {kernel}
 
 
 def test_scenario_kernel_speedup(archive):
@@ -89,14 +113,14 @@ def test_scenario_kernel_speedup(archive):
     ref_cpu = batched_cpu = 0.0
     for scenario in (WEBCAM_UDP_UL, VRIDGE_DL):
         config = scenario.with_(n_cycles=2, cycle_duration_s=60.0)
-        t_ref = t_bat = float("inf")
-        packets = 0
-        for _ in range(ROUNDS):  # interleaved: ambient load hits both alike
-            packets, dt = _timed_simulate(config, "reference")
-            t_ref = min(t_ref, dt)
-            p2, dt = _timed_simulate(config, "batched")
-            t_bat = min(t_bat, dt)
-            assert p2 == packets  # bit-exact parity implies identical traffic
+        cpu, offered = _min_cpu(
+            lambda kernel: ScenarioRunner(config, kernel=kernel),
+            "simulate", ROUNDS, _offered_packets,
+        )
+        # Bit-exact parity implies identical traffic, round by round.
+        assert offered["batched"] == offered["reference"]
+        packets = offered["reference"][-1]
+        t_ref, t_bat = cpu["reference"], cpu["batched"]
         ref_cpu += t_ref
         batched_cpu += t_bat
         rows.append(
@@ -118,7 +142,7 @@ def test_fleet_chaos_kernel_speedup(archive):
     win per event, but one that *grows* with population because the
     reference pays O(log N) heap dispatch on a shared 1000-UE loop
     while lanes stay per-UE.  Gate: ≥5x pooled CPU on a 1000-UE fleet
-    under a chaos-adjacent outage profile (measured ~6x on the
+    under a chaos-adjacent outage profile (measured 8.9x on the
     reference host).  Same methodology as the scenario gate above:
     process_time, interleaved, min of ROUNDS.
     """
@@ -135,18 +159,10 @@ def test_fleet_chaos_kernel_speedup(archive):
         outage_eta=0.1,
     )
     (shard,) = build_shards(config)
-    t_ref = t_bat = float("inf")
-    for _ in range(ROUNDS):
-        for kernel in ("reference", "batched"):
-            runner = FleetShardRunner(shard, kernel=kernel)
-            t0 = time.process_time()
-            runner.run()
-            dt = time.process_time() - t0
-            assert set(runner.kernel_used.values()) == {kernel}
-            if kernel == "reference":
-                t_ref = min(t_ref, dt)
-            else:
-                t_bat = min(t_bat, dt)
+    cpu, _ = _min_cpu(
+        lambda kernel: FleetShardRunner(shard, kernel=kernel), "run", ROUNDS, _all_sessions_on
+    )
+    t_ref, t_bat = cpu["reference"], cpu["batched"]
 
     speedup = t_ref / t_bat
     archive(
@@ -162,17 +178,17 @@ def test_fleet_chaos_profile_kernel_speedup(archive):
     profile (burst loss, reordering, duplication, blackout windows,
     counter resets, clock drift) replayed inside the lanes.
 
-    Fault decisions are pure per-packet Python on both engines, so the
-    profile *narrows* the gap versus the outage-only gate — but the
+    Fault decisions are pure per-packet Python on both engines, but the
     lane's segment-bisected decision windows keep it ≥5x pooled CPU
-    (measured ~5.5x on the reference host; the reference engine pays a
-    per-packet fnmatch walk over every spec on top of shared-heap
-    dispatch).  One round: each engine pass is minutes of CPU here and
+    (measured 10.1x in one round on the reference host; the reference
+    engine pays a per-packet fnmatch walk over every spec on top of
+    shared-heap dispatch).  One round: each engine pass is minutes of CPU here and
     ``process_time`` is already immune to wall-clock jitter.
     """
     from repro.experiments.fleet import FleetConfig, build_shards
     from repro.experiments.fleet_runner import FleetShardRunner
 
+    ROUNDS = 1
     config = FleetConfig(
         ues=1000,
         shard_size=1000,
@@ -183,15 +199,11 @@ def test_fleet_chaos_profile_kernel_speedup(archive):
         fault_profile="chaos",
     )
     (shard,) = build_shards(config)
-    timings = {}
-    for kernel in ("reference", "batched"):
-        runner = FleetShardRunner(shard, kernel=kernel)
-        t0 = time.process_time()
-        runner.run()
-        timings[kernel] = time.process_time() - t0
-        # The acceptance bar: no session falls back — the old
-        # "fault injection active" refusal is gone.
-        assert set(runner.kernel_used.values()) == {kernel}
+    # The acceptance bar: no session falls back — the old
+    # "fault injection active" refusal is gone.
+    timings, _ = _min_cpu(
+        lambda kernel: FleetShardRunner(shard, kernel=kernel), "run", ROUNDS, _all_sessions_on
+    )
 
     speedup = timings["reference"] / timings["batched"]
     archive(

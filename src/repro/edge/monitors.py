@@ -103,25 +103,34 @@ class CounterCheckMonitor:
 
     def on_report(self, response: CounterCheckResponse) -> None:
         """Ingest one COUNTER CHECK response from the base station."""
-        dl_delta = response.downlink_bytes - self._last_dl
-        ul_delta = response.uplink_bytes - self._last_ul
-        if dl_delta < 0 or ul_delta < 0:
-            # Modem counter reset (detach/reattach, reboot): everything
-            # counted since the restart is the new absolute value.
-            self.resets_observed += 1
-            if dl_delta < 0:
-                dl_delta = response.downlink_bytes
-            if ul_delta < 0:
-                ul_delta = response.uplink_bytes
-        # The response carries its own emission time (the base station
-        # stamps it when serving the check), which on the live loop is the
-        # ingestion time too; using it keeps the monitor replayable from
-        # recorded responses (and by the batched kernel's flush).
-        self._dl_reports.add(response.t, dl_delta)
-        self._ul_reports.add(response.t, ul_delta)
-        self._last_dl = response.downlink_bytes
-        self._last_ul = response.uplink_bytes
-        self.reports_received += 1
+        self.ingest(((response.t, response.uplink_bytes, response.downlink_bytes),))
+
+    def ingest(self, reports) -> None:
+        """Ingest ``(t, uplink_bytes, downlink_bytes)`` reports in order.
+
+        Equivalent to one :meth:`on_report` per report; the batched kernel
+        hands over a whole lane's checks at once.
+        """
+        for t, ul, dl in reports:
+            dl_delta = dl - self._last_dl
+            ul_delta = ul - self._last_ul
+            if dl_delta < 0 or ul_delta < 0:
+                # Modem counter reset (detach/reattach, reboot): everything
+                # counted since the restart is the new absolute value.
+                self.resets_observed += 1
+                if dl_delta < 0:
+                    dl_delta = dl
+                if ul_delta < 0:
+                    ul_delta = ul
+            # The report carries its own emission time (the base station
+            # stamps it when serving the check), which on the live loop is
+            # the ingestion time too; using it keeps the monitor replayable
+            # from recorded responses (and by the batched kernel's flush).
+            self._dl_reports.add(t, dl_delta)
+            self._ul_reports.add(t, ul_delta)
+            self._last_dl = dl
+            self._last_ul = ul
+            self.reports_received += 1
 
     @property
     def total(self) -> int:

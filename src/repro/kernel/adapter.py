@@ -21,6 +21,7 @@ import os
 
 from ..cellular.mobility import HandoverProcess
 from ..cellular.radio import RadioChannel
+from ..edge.monitors import CounterCheckMonitor
 from ..netsim import Direction
 from ..netsim.faults import FaultInjector
 from .engine import _K_HO_BEGIN, _K_OUT_BEGIN, _K_RESET, _K_RSS, LaneSpec
@@ -158,6 +159,15 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         return None, "bearer counters not fresh"
     if ue.rrc.state.name != "IDLE" or ue.rrc.setups != 0:
         return None, "RRC not idle at simulate start"
+    # The lane batches every COUNTER CHECK report into one
+    # CounterCheckMonitor.ingest at flush, so the sink must be a monitor's
+    # own on_report.
+    sink = ue.rrc.report_sink
+    report_monitor = getattr(sink, "__self__", None)
+    if sink is not None and not (
+        isinstance(report_monitor, CounterCheckMonitor) and sink == report_monitor.on_report
+    ):
+        return None, "counter-check report sink is not a CounterCheckMonitor"
     for monitor in (device.ul_monitor, device.dl_monitor, server.ul_monitor, server.dl_monitor):
         if monitor.counter._times:
             return None, f"monitor {monitor.name!r} not fresh"
@@ -177,10 +187,11 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
 
     # Outage, RSS, quota, handover and path-fault sessions run the
     # general-mode executor; everything else takes the faster fold loops.
+    has_quota = flow_id in network.pcrf._quotas
     needs_general = (
         radio.profile.outages_enabled
         or radio.record_rss
-        or flow_id in network.pcrf._quotas
+        or has_quota
         or handover is not None
         or bool(absorbed)
         or (fault_view is not None and fault_view.any_path_faults)
@@ -194,6 +205,7 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         air=air,
         air_qci=air_qci,
         rrc=ue.rrc,
+        report_monitor=report_monitor,
         modem=modem,
         bearer=bearer,
         lan_s=network.config.lan_latency_s,
@@ -211,6 +223,7 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         spgw=network.spgw,
         mme=network.mme,
         flow_id=flow_id,
+        has_quota=has_quota,
         handover=handover,
         rlf_timeout_s=enodeb.config.rlf_timeout_s,
         attach_delay_s=enodeb.config.attach_delay_s,

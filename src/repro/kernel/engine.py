@@ -107,8 +107,8 @@ from ..cellular.air import AirInterface, RateWindow
 from ..cellular.bearer import Bearer
 from ..cellular.gateway import TokenBucket
 from ..cellular.qos import scheduler_priority
-from ..cellular.radio import GOOD_RSS_DBM, RadioChannel, RssSample
-from ..cellular.rrc import CounterCheckResponse, HardwareModem, RrcConnectionManager, RrcState
+from ..cellular.radio import GOOD_RSS_DBM, OUTAGE_FLOOR_DBM, RadioChannel, RssSample
+from ..cellular.rrc import HardwareModem, RrcConnectionManager, RrcState
 from ..netsim.packet import Direction, Packet
 from ..obs.spans import Span
 
@@ -157,6 +157,21 @@ class _Cum:
         self.cums: list[int] = []
         self.total = 0
 
+    def add(self, t: float, nbytes: int) -> None:
+        """``CumulativeCounter.add`` for the rare sites; hot loops inline it.
+
+        No validation: wheel times never go backwards and sizes are
+        positive.
+        """
+        total = self.total + nbytes
+        self.total = total
+        times = self.times
+        if times and times[-1] == t:
+            self.cums[-1] = total
+        else:
+            times.append(t)
+            self.cums.append(total)
+
     def flush_into(self, counter) -> None:
         """Install the accumulated points into a fresh CumulativeCounter."""
         if counter._times:
@@ -184,6 +199,9 @@ class LaneSpec:
     air_qci: int
     # RRC / modem.
     rrc: RrcConnectionManager
+    #: The CounterCheckMonitor behind ``rrc.report_sink`` (None = no
+    #: sink); the lane hands it every check's report at flush.
+    report_monitor: object
     modem: HardwareModem
     bearer: Bearer
     # Path latencies (NetworkConfig).
@@ -209,6 +227,9 @@ class LaneSpec:
     spgw: object = None  # cellular.gateway.Spgw
     mme: object = None  # cellular.mme.Mme
     flow_id: str = ""
+    #: Whether the PCRF holds a quota for ``flow_id``; without one the
+    #: SPGW's policer check can never throttle, so the lane skips it.
+    has_quota: bool = False
     handover: object = None  # cellular.mobility.HandoverProcess | None
     rlf_timeout_s: float = 5.0
     attach_delay_s: float = 0.5
@@ -229,15 +250,19 @@ class LaneSpec:
     fault_view: object = None
 
 
-class _LaneRun:
-    """One lane's execution state.  See the module docstring for the contract."""
+class _Lane:
+    """State both executors mirror the same way, and its flush.
+
+    The air interface (its foreground rate window, demand split and
+    FlowStats), the radio's RSS walk, the RRC totals, the four
+    direction-resolved cumulative counters, the counter-check reports
+    and the wired-hop and middlebox FlowStats all live here as flat
+    state.  Each executor advances it inline; :meth:`_flush` installs it
+    into the live objects once.
+    """
 
     __slots__ = (
         "spec", "until", "end", "heap", "seq",
-        # workload
-        "wl_rng", "fps", "frame_dt", "packet_bytes", "mean_bitrate",
-        "iframe_interval", "iframe_scale", "size_sigma",
-        "frames_sent", "bytes_offered",
         # air
         "air_random", "capacity", "cap_usable", "prop", "max_qd",
         "bg", "my_priority", "split_general", "bg_higher", "bg_same",
@@ -247,11 +272,10 @@ class _LaneRun:
         "radio_rng", "rss", "rss_base", "rss_noise", "rss_floor",
         "rss_ceiling", "base_loss", "loss_at_floor",
         # rrc
-        "connected", "release_at", "timeout", "check_dt", "gen", "sink",
-        "setups", "releases", "checks_sent", "served",
+        "connected", "release_at", "timeout", "check_dt", "gen",
+        "setups", "releases", "checks", "reports",
         # counters
-        "mod_cum", "bearer_cum", "dev_cum", "srv_cum",
-        "charged", "received", "latencies",
+        "mod_cum", "bearer_cum", "dev_cum", "srv_cum", "received", "latencies",
         # path
         "lan_s", "bk_s", "sla",
         "link_sent_p", "link_sent_b", "link_del_p", "link_del_b",
@@ -264,18 +288,6 @@ class _LaneRun:
         self.end = horizon + settle
         self.heap: list[tuple] = []
         self.seq = 0
-
-        profile = spec.workload.profile
-        self.wl_rng = spec.workload._rng
-        self.fps = profile.fps
-        self.frame_dt = 1.0 / profile.fps
-        self.packet_bytes = profile.packet_bytes
-        self.mean_bitrate = profile.mean_bitrate_bps
-        self.iframe_interval = profile.iframe_interval
-        self.iframe_scale = profile.iframe_scale
-        self.size_sigma = profile.size_sigma
-        self.frames_sent = 0
-        self.bytes_offered = 0
 
         air = spec.air
         self.air_random = air._rng.random
@@ -292,7 +304,9 @@ class _LaneRun:
         # or two single-term bucket sums, which IEEE addition reproduces
         # exactly (x + 0.0 == x, 0.0 + x == x and a + b == b + a for the
         # non-negative rates here).  The hot loops then compute
-        # ``higher = bg_higher; same = bg_same + rate``.
+        # ``higher = bg_higher; same = bg_same + rate``.  The adapter
+        # refuses an air that already carries foreground traffic, so the
+        # lane's own window is the only foreground term.
         self.split_general = False
         self.bg_higher = 0.0
         self.bg_same = 0.0
@@ -306,12 +320,15 @@ class _LaneRun:
             # else lower priority: invisible to this QCI's buckets
         elif len(self.bg) > 1:
             self.split_general = True  # general set-union mirror (_split)
+        # RateWindow mirror (window_s = 1.0, the reference default).
         self.win_samples: deque[tuple[float, int]] = deque()
         self.win_bits = 0
         self.off_p = self.off_b = 0
         self.drop_p = self.drop_b = 0
         self.trans_p = self.trans_b = 0
 
+        # RadioChannel.survives_air mirror: the RSS walk state; the gauss
+        # carry-over stays on the radio's own RNG stream object.
         radio = spec.radio
         rp = radio.profile
         self.radio_rng = radio._rng
@@ -324,22 +341,20 @@ class _LaneRun:
         self.loss_at_floor = rp.loss_at_floor
 
         rrc = spec.rrc
-        self.connected = False  # rrc.state is IDLE at a fresh start
+        self.connected = False  # eligibility requires IDLE at start
         self.release_at = _INF
         self.timeout = rrc.inactivity_timeout_s
         self.check_dt = rrc.counter_check_interval_s
         self.gen = 0
-        self.sink = rrc.report_sink
         self.setups = 0
         self.releases = 0
-        self.checks_sent = 0
-        self.served = 0
+        self.checks = 0  # rrc.counter_checks_sent == modem.counter_checks_served
+        self.reports: list[tuple[float, int, int]] = []
 
-        self.mod_cum = _Cum()  # modem counter for the lane's direction
-        self.bearer_cum = _Cum()
+        self.mod_cum = _Cum()  # modem.ul_sent (UL) / dl_received (DL)
+        self.bearer_cum = _Cum()  # bearer.uplink (UL) / downlink (DL)
         self.dev_cum = _Cum()  # device ul (UL) / dl (DL) monitor
         self.srv_cum = _Cum()  # server ul (UL) / dl (DL) monitor
-        self.charged = 0
         self.received = 0
         self.latencies: list[float] = []
 
@@ -350,19 +365,6 @@ class _LaneRun:
         self.link_del_p = self.link_del_b = 0
         self.mb_pass_p = self.mb_pass_b = 0
         self.mb_drop_p = self.mb_drop_b = 0
-
-    # ------------------------------------------------------------------ run
-
-    def run(self) -> None:
-        # FrameWorkload.start: jitter = rng.uniform(0.0, 1.0 / fps),
-        # first frame at loop.now() + jitter.
-        jitter = self.wl_rng.uniform(0.0, 1.0 / self.fps)
-        self.seq += 1
-        heappush(self.heap, (self.spec.t0 + jitter, self.seq, _K_FRAME, 0, 0))
-        self._fold()
-        self._flush()
-
-    # ---------------------------------------------------------- cold paths
 
     def _split(self, rate: float) -> tuple[float, float]:
         """General mirror of AirInterface._demand_split (≥ 2 bg classes).
@@ -385,13 +387,121 @@ class _LaneRun:
         return higher, same
 
     def _counter_check(self, t: float, total: int) -> None:
-        # rrc.perform_counter_check + modem.counter_check at time t; the
-        # lane's one modem total is its direction's counter.
-        self.checks_sent += 1
-        self.served += 1
-        if self.sink is not None:
-            ul_total, dl_total = (total, 0) if self.spec.is_uplink else (0, total)
-            self.sink(CounterCheckResponse(t=t, uplink_bytes=ul_total, downlink_bytes=dl_total))
+        # rrc.perform_counter_check + modem.counter_check at time t.  The
+        # lane's one modem counter is its direction's (``total``); the
+        # other direction's stays at zero.  The report reaches the
+        # monitor at flush.
+        self.checks += 1
+        self.reports.append((t, total, 0) if self.spec.is_uplink else (t, 0, total))
+
+    def _flush(self) -> None:
+        """Install the shared mirrors into the live component objects."""
+        spec = self.spec
+        ul = spec.is_uplink
+        spec.workload._until = self.until
+        spec.radio._current_rss = self.rss
+
+        air = spec.air
+        if self.off_p:
+            window = RateWindow()
+            window._samples.extend(self.win_samples)
+            window._bits = self.win_bits
+            air._foreground[spec.air_qci] = window
+        air.offered.packets += self.off_p
+        air.offered.bytes += self.off_b
+        air.dropped.packets += self.drop_p
+        air.dropped.bytes += self.drop_b
+        air.transmitted.packets += self.trans_p
+        air.transmitted.bytes += self.trans_b
+
+        rrc = spec.rrc
+        rrc.state = RrcState.CONNECTED if self.connected else RrcState.IDLE
+        rrc.setups += self.setups
+        rrc.releases += self.releases
+        rrc.counter_checks_sent += self.checks
+        modem = spec.modem
+        modem.counter_checks_served += self.checks
+        self.mod_cum.flush_into(modem.ul_sent if ul else modem.dl_received)
+        if spec.report_monitor is not None:
+            spec.report_monitor.ingest(self.reports)
+
+        bearer = spec.bearer
+        self.bearer_cum.flush_into(bearer.uplink if ul else bearer.downlink)
+        if self.bearer_cum.times:  # Bearer._touch stamps
+            if bearer.first_usage is None:
+                bearer.first_usage = self.bearer_cum.times[0]
+            bearer.last_usage = self.bearer_cum.times[-1]
+
+        device = spec.device
+        server = spec.server
+        if ul:
+            self.dev_cum.flush_into(device.ul_monitor.counter)
+            self.srv_cum.flush_into(server.ul_monitor.counter)
+            server.stats.received += self.received
+            server.stats.latencies.extend(self.latencies)
+            link = spec.backhaul_link
+        else:
+            self.srv_cum.flush_into(server.dl_monitor.counter)
+            self.dev_cum.flush_into(device.dl_monitor.counter)
+            link = spec.lan_link
+        link.sent.packets += self.link_sent_p
+        link.sent.bytes += self.link_sent_b
+        link.delivered.packets += self.link_del_p
+        link.delivered.bytes += self.link_del_b
+        if link._m_sent is not None:
+            link._m_sent.inc(self.link_sent_b)
+            link._m_delivered.inc(self.link_del_b)
+
+        middlebox = spec.middlebox
+        middlebox.passed.packets += self.mb_pass_p
+        middlebox.passed.bytes += self.mb_pass_b
+        middlebox.dropped.packets += self.mb_drop_p
+        middlebox.dropped.bytes += self.mb_drop_b
+
+        # Every bearer charge is a gateway charge.  The gateway creates its
+        # charged counter lazily on the first charged packet; mirror that
+        # so empty runs snapshot identically.
+        charged = self.bearer_cum.total
+        if charged and spec.gateway_metrics is not None:
+            spec.gateway_metrics.counter(
+                "cellular.gateway.charged_bytes", direction="UL" if ul else "DL"
+            ).inc(charged)
+
+
+class _LaneRun(_Lane):
+    """One lane's execution state.  See the module docstring for the contract."""
+
+    __slots__ = (
+        # workload
+        "wl_rng", "fps", "frame_dt", "packet_bytes", "mean_bitrate",
+        "iframe_interval", "iframe_scale", "size_sigma",
+        "frames_sent", "bytes_offered",
+    )
+
+    def __init__(self, spec: LaneSpec, horizon: float, settle: float) -> None:
+        super().__init__(spec, horizon, settle)
+        profile = spec.workload.profile
+        self.wl_rng = spec.workload._rng
+        self.fps = profile.fps
+        self.frame_dt = 1.0 / profile.fps
+        self.packet_bytes = profile.packet_bytes
+        self.mean_bitrate = profile.mean_bitrate_bps
+        self.iframe_interval = profile.iframe_interval
+        self.iframe_scale = profile.iframe_scale
+        self.size_sigma = profile.size_sigma
+        self.frames_sent = 0
+        self.bytes_offered = 0
+
+    # ------------------------------------------------------------------ run
+
+    def run(self) -> None:
+        # FrameWorkload.start: jitter = rng.uniform(0.0, 1.0 / fps),
+        # first frame at loop.now() + jitter.
+        jitter = self.wl_rng.uniform(0.0, 1.0 / self.fps)
+        self.seq += 1
+        heappush(self.heap, (self.spec.t0 + jitter, self.seq, _K_FRAME, 0, 0))
+        self._fold()
+        self._flush()
 
     # ------------------------------------------------------------ fold loop
 
@@ -742,7 +852,6 @@ class _LaneRun:
         bearer.total = b_total
         srv.total = s_total
         self.received = received
-        self.charged = b_total
         self.link_sent_p = self.link_del_p = link_p
         self.link_sent_b = self.link_del_b = link_b
         self.mb_pass_p, self.mb_pass_b = mb_pass_p, mb_pass_b
@@ -756,81 +865,17 @@ class _LaneRun:
         wl = spec.workload
         wl.frames_sent += self.frames_sent
         wl.bytes_offered += self.bytes_offered
-        wl._until = self.until
-
-        spec.radio._current_rss = self.rss
-
-        air = spec.air
-        if self.off_p:
-            window = RateWindow()
-            window._samples.extend(self.win_samples)
-            window._bits = self.win_bits
-            air._foreground[spec.air_qci] = window
-        air.offered.packets += self.off_p
-        air.offered.bytes += self.off_b
-        air.dropped.packets += self.drop_p
-        air.dropped.bytes += self.drop_b
-        air.transmitted.packets += self.trans_p
-        air.transmitted.bytes += self.trans_b
-
-        modem = spec.modem
-        self.mod_cum.flush_into(modem.ul_sent if spec.is_uplink else modem.dl_received)
-        modem.counter_checks_served += self.served
-
-        rrc = spec.rrc
-        rrc.state = RrcState.CONNECTED if self.connected else RrcState.IDLE
-        rrc.setups += self.setups
-        rrc.releases += self.releases
-        rrc.counter_checks_sent += self.checks_sent
-
-        bearer = spec.bearer
-        self.bearer_cum.flush_into(bearer.uplink if spec.is_uplink else bearer.downlink)
-        if self.bearer_cum.times:  # Bearer._touch stamps
-            if bearer.first_usage is None:
-                bearer.first_usage = self.bearer_cum.times[0]
-            bearer.last_usage = self.bearer_cum.times[-1]
-
-        device = spec.device
-        server = spec.server
         # Sender packet-sequence iterator: one next() per chunk sent.
         # Uplink submits every chunk to the air (off_p); downlink sends
         # every chunk onto the LAN link (link_sent_p).
-        sender = device if spec.is_uplink else server
-        sender._seq = _count(self.off_p if spec.is_uplink else self.link_sent_p)
         if spec.is_uplink:
-            self.dev_cum.flush_into(device.ul_monitor.counter)
-            self.srv_cum.flush_into(server.ul_monitor.counter)
-            server.stats.received += self.received
-            server.stats.latencies.extend(self.latencies)
-            link = spec.backhaul_link
+            spec.device._seq = _count(self.off_p)
         else:
-            self.srv_cum.flush_into(server.dl_monitor.counter)
-            self.dev_cum.flush_into(device.dl_monitor.counter)
-            link = spec.lan_link
-        link.sent.packets += self.link_sent_p
-        link.sent.bytes += self.link_sent_b
-        link.delivered.packets += self.link_del_p
-        link.delivered.bytes += self.link_del_b
-        if link._m_sent is not None:
-            link._m_sent.inc(self.link_sent_b)
-            link._m_delivered.inc(self.link_del_b)
-
-        middlebox = spec.middlebox
-        middlebox.passed.packets += self.mb_pass_p
-        middlebox.passed.bytes += self.mb_pass_b
-        middlebox.dropped.packets += self.mb_drop_p
-        middlebox.dropped.bytes += self.mb_drop_b
-
-        # The gateway creates its charged counter lazily on the first
-        # charged packet; mirror that so empty runs snapshot identically.
-        if self.charged and spec.gateway_metrics is not None:
-            direction = "UL" if spec.is_uplink else "DL"
-            spec.gateway_metrics.counter(
-                "cellular.gateway.charged_bytes", direction=direction
-            ).inc(self.charged)
+            spec.server._seq = _count(self.link_sent_p)
+        super()._flush()
 
 
-class _GeneralRun:
+class _GeneralRun(_Lane):
     """General-mode lane: outage, RSS, quota and handover sessions.
 
     The fold loop wins its speedup by collapsing whole frames into
@@ -845,23 +890,31 @@ class _GeneralRun:
     State split
     -----------
 
-    *Live*: anything keyed by explicit timestamps or consumed by RNG
-    draws operates directly on the real objects — workload frame sizing,
-    the radio (connectivity, RSS walk, outage bookkeeping, air-survival
-    draws), cumulative counters (``CumulativeCounter.add`` takes an
-    explicit ``t``), FlowStats, MME/bearer activation, metric counters.
-    The real event-loop clock is *stale* during the lane (it never
-    advances), so every reference code path that reads ``loop.now()`` —
-    ``TrafficMonitor.observe``, ``HardwareModem.count_*``, ``Link.send``,
-    ``TokenBucket`` — is mirrored with the wheel's event time instead of
-    being called.
+    *Mirrored and flushed* (the fold loop's mirrors, from :class:`_Lane`):
+    the four direction-resolved cumulative counters (modem, bearer,
+    device and server monitors, with the bearer's first/last-usage stamps
+    taken from the mirror times), the counter-check reports handed to
+    ``CounterCheckMonitor.ingest``, the air interface's rate window,
+    demand split and FlowStats, the radio's RSS walk with the
+    air-survival draws inlined, and the wired-hop, middlebox and gateway
+    sums.  On top of those: RRC connection state (lazy release deadline
+    plus a reserved seq for exact same-time ordering; generation-cancelled
+    periodic checks), the two drop-tail queues (contents, bytes, and the
+    handover-inflated capacity/drop-layer), the token bucket policer, the
+    RLF timer generation, the handover save/restore pair, and the
+    ``radio.outage`` span walk.  An absorbed counter reset first installs
+    the modem mirror into the live counter, then lets the injector swap
+    in fresh counters, then counts into a fresh mirror.
 
-    *Mirrored and flushed*: RRC connection state (lazy release deadline
-    plus a reserved seq for exact same-time ordering; generation-
-    cancelled periodic checks), the two drop-tail queues (contents,
-    bytes, and the handover-inflated capacity/drop-layer), the token
-    bucket policer, the RLF timer generation, the handover save/restore
-    pair, and the ``radio.outage`` span walk.
+    *Live*: workload frame sizing (its RNG and iframe counter), the
+    radio's connectivity and outage bookkeeping and its RNG stream (the
+    ``_K_RSS`` samples still call ``RadioChannel._walk_rss`` on the synced
+    RSS state), MME/bearer activation, the fault injector, and the rarer
+    per-packet FlowStats (detached and policed drops, buffered, recovered
+    and handover-forwarded packets).  The real event-loop clock is
+    *stale* during the lane (it never advances), so nothing that reads
+    ``loop.now()`` — ``TrafficMonitor.observe``, ``HardwareModem.count_*``,
+    ``Link.send``, ``TokenBucket`` — is called.
 
     Same-time event ordering follows the same tie contract as the fold
     loops; the only batched events are the downlink LAN and backhaul
@@ -871,51 +924,25 @@ class _GeneralRun:
     """
 
     def __init__(self, spec: LaneSpec, horizon: float, settle: float) -> None:
-        self.spec = spec
-        self.until = horizon
-        self.end = horizon + settle
-        self.heap: list[tuple] = []
-        self.seq = 0
-
+        super().__init__(spec, horizon, settle)
         self.wl = spec.workload
         self.radio = spec.radio
-        self.air = spec.air
-        self.modem = spec.modem
         self.bearer = spec.bearer
         self.ue = spec.ue
         self.mme = spec.mme
         self.spgw = spec.spgw
         self.handover = spec.handover
-        self.server = spec.server
-        self.device = spec.device
 
         profile = spec.workload.profile
         self.frame_dt = 1.0 / profile.fps
         self.packet_bytes = profile.packet_bytes
-
-        air = spec.air
-        self.capacity = air.capacity_bps
-        self.cap_usable = air.capacity_bps * air.usable_fraction
-        self.prop = air.propagation_delay_s
-        self.max_qd = air.max_queue_delay_s
 
         rp = spec.radio.profile
         self.mean_outage = rp.mean_outage_s
         self.mean_uptime = rp.mean_uptime_s
         self.rss_dt = rp.rss_sample_interval_s
 
-        rrc = spec.rrc
-        self.rrc_connected = False  # eligibility requires IDLE at start
-        self.release_at = _INF
         self.release_seq = 0
-        self.timeout = rrc.inactivity_timeout_s
-        self.check_dt = rrc.counter_check_interval_s
-        self.check_gen = 0
-        self.sink = rrc.report_sink
-        self.setups = 0
-        self.releases = 0
-        self.checks_sent = 0
-        self.served = 0
 
         # Sender-side packet sequence mirror: EdgeDevice.send (UL) /
         # EdgeServer.send (DL) stamp ``seq=next(self._seq)`` on every
@@ -932,17 +959,17 @@ class _GeneralRun:
         self.ulq_bytes = 0
         self.ulq_cap = spec.access._ul_buffer.capacity_bytes
 
-        # Token-bucket policer mirror (Spgw._policers[flow_id]).
+        # Token-bucket policer mirror (Spgw._policers[flow_id]); without
+        # a PCRF quota the policer check can never throttle.
+        self.has_quota = spec.has_quota
         self.p_rate: float | None = None
         self.p_burst = 0.0
         self.p_tokens = 0.0
         self.p_last = 0.0
 
-        # Gateway metric sums, flushed once (the registry's per-call key
-        # formatting dominates the hot path; counters are plain sums so
-        # one inc at flush is observably identical).
-        self.charged_ul = 0
-        self.charged_dl = 0
+        # Gateway drop-metric sums, flushed once (the registry's per-call
+        # key formatting dominates the hot path; counters are plain sums
+        # so one inc at flush is observably identical).
         self.drop_detached = 0
         self.drop_policed = 0
 
@@ -1004,7 +1031,7 @@ class _GeneralRun:
             # on a time tie it fires first unless the popped event was
             # scheduled even earlier (an absorbed chain head or a
             # long-armed outage toggle carries the smaller seq).
-            if self.rrc_connected:
+            if self.connected:
                 ra = self.release_at
                 if ra < te or (ra == te and self.release_seq < ev_seq):
                     self._fire_release()
@@ -1027,9 +1054,9 @@ class _GeneralRun:
             elif kind == _K_CHECK:
                 # Stale generations are cancelled timers; a live timer
                 # firing while IDLE does not re-arm (rrc._periodic_check).
-                if a == self.check_gen and self.rrc_connected:
-                    self._counter_check(te)
-                    self._push(te + self.check_dt, _K_CHECK, self.check_gen)
+                if a == self.gen and self.connected:
+                    self._counter_check(te, self.mod_cum.total)
+                    self._push(te + self.check_dt, _K_CHECK, self.gen)
             elif kind == _K_OUT_BEGIN:
                 self._on_out_begin(te)
             elif kind == _K_OUT_END:
@@ -1043,10 +1070,14 @@ class _GeneralRun:
             elif kind == _K_HO_COMPLETE:
                 self._on_ho_complete(te)
             elif kind == _K_RESET:
-                # Absorbed FaultInjector._reset_modem event: replay the
-                # counter zeroing at the armed instant.
+                # Absorbed FaultInjector._reset_modem event: install the
+                # modem mirror into the live counter being replaced, replay
+                # the zeroing (and its trace record) at the armed instant,
+                # then count into a fresh mirror.
                 modem, point = a.args
+                self.mod_cum.flush_into(modem.ul_sent if is_ul else modem.dl_received)
                 self.spec.fault_view.apply_reset(modem, te, point)
+                self.mod_cum = _Cum()
             elif kind == _K_UL_SEND:
                 # Fault-delayed (or duplicated) uplink send: the pipe's
                 # deferred downstream(packet) = UeAccess.send_uplink.
@@ -1055,10 +1086,14 @@ class _GeneralRun:
             elif kind == _K_DL_DELIVER:
                 # Fault-delayed (or duplicated) downlink delivery: the
                 # pipe's deferred ue.deliver -> device.dl_monitor.
-                self.device.dl_monitor.counter.add(te, a)
+                self.dev_cum.add(te, a)
             else:  # _K_RSS
+                # RadioChannel._sample_rss on the live radio, with the
+                # mirrored walk state synced in and back out.
                 radio = self.radio
+                radio._current_rss = self.rss
                 radio._walk_rss()
+                self.rss = radio._current_rss
                 radio.rss_history.append(
                     RssSample(te, radio.current_rss(), radio.connected)
                 )
@@ -1067,29 +1102,17 @@ class _GeneralRun:
         # A release armed before the horizon's edge still fires inside
         # the settle window even with no later event left to trigger
         # the lazy check.
-        if self.rrc_connected and self.release_at <= end:
+        if self.connected and self.release_at <= end:
             self._fire_release()
 
     # ----------------------------------------------------------------- RRC
 
-    def _counter_check(self, t: float) -> None:
-        # rrc.perform_counter_check: the modem counters are live, so the
-        # response reads their real totals at this wheel instant.
-        self.checks_sent += 1
-        self.served += 1
-        if self.sink is not None:
-            self.sink(CounterCheckResponse(
-                t=t,
-                uplink_bytes=self.modem.ul_sent.total,
-                downlink_bytes=self.modem.dl_received.total,
-            ))
-
     def _fire_release(self) -> None:
         # rrc._release_on_inactivity at the armed deadline.
-        self._counter_check(self.release_at)
+        self._counter_check(self.release_at, self.mod_cum.total)
         self.releases += 1
-        self.rrc_connected = False
-        self.check_gen += 1
+        self.connected = False
+        self.gen += 1
         self.release_at = _INF
 
     def _rrc_activity(self, te: float) -> None:
@@ -1097,11 +1120,11 @@ class _GeneralRun:
         # then the release timer re-armed — which consumes a loop seq on
         # *every* activity; reserve it so same-time ties resolve exactly
         # as the reference's.
-        if not self.rrc_connected:
-            self.rrc_connected = True
+        if not self.connected:
+            self.connected = True
             self.setups += 1
             if self.check_dt is not None:
-                self._push(te + self.check_dt, _K_CHECK, self.check_gen)
+                self._push(te + self.check_dt, _K_CHECK, self.gen)
         self.seq += 1
         self.release_seq = self.seq
         self.release_at = te + self.timeout
@@ -1109,18 +1132,25 @@ class _GeneralRun:
     # ----------------------------------------------------------------- air
 
     def _air_submit(self, te: float, size: int, created: float, pkt_seq: int = 0) -> None:
-        # AirInterface.submit with ``loop.now()`` == te made explicit.
-        air = self.air
-        qci = self.spec.air_qci
-        window = air._foreground.get(qci)
-        if window is None:
-            window = RateWindow()
-            air._foreground[qci] = window
-        window.observe(te, size)
-        air.offered.packets += 1
-        air.offered.bytes += size
-        u = air._rng.random()
-        higher, same = air._demand_split(qci, te)
+        # AirInterface.submit with ``loop.now()`` == te, on the fold
+        # loop's mirrors: RateWindow.observe(te, size) on the flat window.
+        bits = size * 8
+        samples = self.win_samples
+        samples.append((te, bits))
+        win_bits = self.win_bits + bits
+        cutoff = te - 1.0  # window_s = 1.0 (reference default)
+        while samples and samples[0][0] <= cutoff:
+            win_bits -= samples.popleft()[1]
+        self.win_bits = win_bits
+        self.off_p += 1
+        self.off_b += size
+        # submit draws rng.random() before drop_probability.
+        u = self.air_random()
+        if self.split_general:
+            higher, same = self._split(win_bits / 1.0)
+        else:
+            higher = self.bg_higher
+            same = self.bg_same + win_bits / 1.0  # RateWindow.rate_bps
         # drop_probability, op for op (cap × usable_fraction is the same
         # float as the precomputed product; max/min unrolled).
         usable = self.cap_usable - higher
@@ -1133,8 +1163,8 @@ class _GeneralRun:
         else:
             p = 1.0 - usable / same
         if u < p:
-            air.dropped.packets += 1
-            air.dropped.bytes += size
+            self.drop_p += 1
+            self.drop_b += size
             return
         # queue_delay re-runs _demand_split at the same instant with
         # unchanged window state — reuse (higher, same).
@@ -1159,7 +1189,9 @@ class _GeneralRun:
         spgw = self.spgw
         if spgw.policy is None:
             return False
-        used = self.bearer.uplink.total + self.bearer.downlink.total
+        # bearer.uplink.total + bearer.downlink.total: the other
+        # direction's counter stays at zero.
+        used = self.bearer_cum.total
         rate = spgw.policy.allowed_rate_bps(self.spec.flow_id, used)
         if rate is None:
             self.p_rate = None  # mirrors _policers.pop
@@ -1230,7 +1262,16 @@ class _GeneralRun:
         # modem count, no buffer, no stats.
         if not self.ue.attached:
             return
-        self.modem.ul_sent.add(t, size)  # counts before the radio check
+        # modem.count_uplink, before the radio check.
+        mod = self.mod_cum
+        total = mod.total + size
+        mod.total = total
+        times = mod.times
+        if times and times[-1] == t:
+            mod.cums[-1] = total
+        else:
+            times.append(t)
+            mod.cums.append(total)
         if not self.radio.connected:
             self._ulq_push(size, created, pkt_seq)
         else:
@@ -1240,21 +1281,22 @@ class _GeneralRun:
     def _on_frame_ul(self, te: float) -> None:
         # FrameWorkload._emit_frame with sender = EdgeDevice.send; frame
         # sizing runs live on the workload (its RNG and iframe counter).
+        # Every chunk's app-level count and device.ul_monitor.observe
+        # land at te inside this handler, so they coalesce into one
+        # frame total, as in the fold loop.
         wl = self.wl
         remaining = wl._frame_size()
         wl.frames_sent += 1
+        wl.bytes_offered += remaining
+        self.dev_cum.add(te, remaining)
         packet_bytes = self.packet_bytes
-        dev_counter = self.device.ul_monitor.counter
-        radio = self.radio
-        attached = self.ue.attached
         fault = self.fault_ul
+        pkt_seq = self.send_seq  # device.send: seq=next(self._seq) per chunk
         while remaining > 0:
             chunk = remaining if remaining < packet_bytes else packet_bytes
-            pkt_seq = self.send_seq  # device.send: seq=next(self._seq)
-            self.send_seq += 1
-            dev_counter.add(te, chunk)  # device.ul_monitor.observe
-            wl.bytes_offered += chunk
-            if fault is not None:
+            if fault is None:
+                self._ul_send(te, chunk, te, pkt_seq)
+            else:
                 # The injector pipe wraps access.send_uplink, so the fate
                 # decision runs before the attached check, per chunk.
                 action, delay = fault(te)
@@ -1268,44 +1310,35 @@ class _GeneralRun:
                     self._ul_send(te, chunk, te, pkt_seq)
                     self._push(te + delay, _K_UL_SEND, chunk, (te, pkt_seq))
                 # drop: the chunk dies after the app-level count
-            elif attached:
-                # UeAccess.send_uplink: a detached UE's packet dies after
-                # the app-level count — no modem count, no buffer, no stats.
-                self.modem.ul_sent.add(te, chunk)  # counts before the radio check
-                if not radio.connected:
-                    self._ulq_push(chunk, te, pkt_seq)
-                else:
-                    self._rrc_activity(te)
-                    self._air_submit(te, chunk, te, pkt_seq)
+            pkt_seq += 1
             remaining -= chunk
+        self.send_seq = pkt_seq
         self._push(te + self.frame_dt, _K_FRAME)
 
     def _on_frame_dl(self, te: float) -> None:
         # _emit_frame with sender = EdgeServer.send: per chunk the server
         # monitor counts and the LAN link accepts (depart = now, deliver
-        # at te + lan_s).  One frame's LAN delivers hold consecutive
-        # reference seqs, so they batch into a single wheel event pushed
-        # before the next-frame event, preserving relative order.
+        # at te + lan_s); the monitor adds coalesce into one frame total.
+        # One frame's LAN delivers hold consecutive reference seqs, so
+        # they batch into a single wheel event pushed before the
+        # next-frame event, preserving relative order.
         wl = self.wl
         remaining = wl._frame_size()
         wl.frames_sent += 1
+        wl.bytes_offered += remaining
+        self.srv_cum.add(te, remaining)
+        self.link_sent_b += remaining
         packet_bytes = self.packet_bytes
-        srv_counter = self.server.dl_monitor.counter
-        lan = self.spec.lan_link
+        pkt_seq = self.send_seq  # server.send: seq=next(self._seq) per chunk
         chunks = []
         while remaining > 0:
             chunk = remaining if remaining < packet_bytes else packet_bytes
-            pkt_seq = self.send_seq  # server.send: seq=next(self._seq)
-            self.send_seq += 1
-            srv_counter.add(te, chunk)  # server.dl_monitor.observe
-            lan.sent.packets += 1
-            lan.sent.bytes += chunk
-            if lan._m_sent is not None:
-                lan._m_sent.inc(chunk)
-            wl.bytes_offered += chunk
             chunks.append((chunk, pkt_seq))
+            pkt_seq += 1
             remaining -= chunk
-        self._push(te + self.spec.lan_s, _K_LAN, tuple(chunks), te)
+        self.link_sent_p += len(chunks)
+        self.send_seq = pkt_seq
+        self._push(te + self.lan_s, _K_LAN, tuple(chunks), te)
         self._push(te + self.frame_dt, _K_FRAME)
 
     # ---------------------------------------------------------------- hops
@@ -1314,38 +1347,44 @@ class _GeneralRun:
         # Link._deliver → Spgw.send_downlink per chunk: charge (or drop)
         # at te, SLA verdict at the middlebox, then one batched backhaul
         # event for the surviving chunks (consecutive reference seqs).
-        lan = self.spec.lan_link
-        spgw = self.spgw
-        sla = self.spec.sla_budget
-        middlebox = self.spec.middlebox
+        bearer = self.bearer
+        b = self.bearer_cum
+        sla = self.sla
         passed = []
+        self.link_del_p += len(chunks)
         for chunk, pkt_seq in chunks:
-            lan.delivered.packets += 1
-            lan.delivered.bytes += chunk
-            if lan._m_delivered is not None:
-                lan._m_delivered.inc(chunk)
-            if not self.bearer.active:
+            self.link_del_b += chunk
+            if not bearer.active:
+                spgw = self.spgw
                 spgw.detached_drops.packets += 1
                 spgw.detached_drops.bytes += chunk
                 self.drop_detached += chunk
                 continue
-            if self._quota_check(te, chunk):
+            if self.has_quota and self._quota_check(te, chunk):
+                spgw = self.spgw
                 spgw.policed_drops.packets += 1
                 spgw.policed_drops.bytes += chunk
                 self.drop_policed += chunk
                 continue
-            self.bearer.count_downlink(te, chunk)
-            self.charged_dl += chunk
+            # bearer.count_downlink.
+            total = b.total + chunk
+            b.total = total
+            times = b.times
+            if times and times[-1] == te:
+                b.cums[-1] = total
+            else:
+                times.append(te)
+                b.cums.append(total)
             # SlaMiddlebox.process: age verdict on the charged packet.
             if sla is not None and te - created > sla:
-                middlebox.dropped.packets += 1
-                middlebox.dropped.bytes += chunk
+                self.mb_drop_p += 1
+                self.mb_drop_b += chunk
                 continue
-            middlebox.passed.packets += 1
-            middlebox.passed.bytes += chunk
+            self.mb_pass_p += 1
+            self.mb_pass_b += chunk
             passed.append((chunk, pkt_seq))
         if passed:
-            self._push(te + self.spec.backhaul_s, _K_BH, tuple(passed), created)
+            self._push(te + self.bk_s, _K_BH, tuple(passed), created)
 
     def _on_bh(self, te: float, chunks: tuple, created: float) -> None:
         # Backhaul deliver → ENodeB.receive_downlink per chunk.
@@ -1359,71 +1398,131 @@ class _GeneralRun:
 
     def _on_deliver(self, te: float, size: int, payload: tuple, is_ul: bool) -> None:
         # AirInterface._transmit → ENodeB._air_deliver_ul/_air_deliver_dl.
-        created, pkt_seq = payload
-        air = self.air
-        air.transmitted.packets += 1
-        air.transmitted.bytes += size
+        self.trans_p += 1
+        self.trans_b += size
         radio = self.radio
+        if not is_ul:
+            ue = self.ue
+            if not ue.attached:
+                ue.dropped_detached.packets += 1
+                ue.dropped_detached.bytes += size
+                return
+            if not radio.connected:
+                self._dlq_push(size, *payload)  # buffered for the outage drain
+                return
+        # RadioChannel.survives_air, inlined as in the fold loop: the
+        # gauss step (random.gauss, same draws), the mean-reverting walk,
+        # then random() >= loss_probability().  Uplink delivery draws it
+        # even while the radio is disconnected, when current_rss() reads
+        # the outage floor.
+        rng = self.radio_rng
+        z = rng.gauss_next
+        rng.gauss_next = None
+        if z is None:
+            random = rng.random
+            x2pi = random() * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - random()))
+            z = _cos(x2pi) * g2rad
+            rng.gauss_next = _sin(x2pi) * g2rad
+        step = 0.0 + z * self.rss_noise  # gauss: mu + z * sigma, mu = 0.0
+        rss = self.rss
+        drift = 0.25 * (self.rss_base - rss)
+        rss = rss + drift + step
+        if rss < self.rss_floor:
+            rss = self.rss_floor
+        elif rss > self.rss_ceiling:
+            rss = self.rss_ceiling
+        self.rss = rss
+        if not radio.connected:
+            rss = OUTAGE_FLOOR_DBM
+        if rss >= GOOD_RSS_DBM:
+            loss = self.base_loss
+        else:
+            span = GOOD_RSS_DBM - self.rss_floor
+            frac = (GOOD_RSS_DBM - rss) / span
+            if frac > 1.0:
+                frac = 1.0
+            loss = self.base_loss + frac * self.loss_at_floor
+            if loss > 1.0:
+                loss = 1.0
+        if not rng.random() >= loss:
+            return  # phy-rss loss, counted nowhere
         if is_ul:
-            # _air_deliver_ul draws survival unconditionally.
-            if radio.survives_air():
-                link = self.spec.backhaul_link
-                link.sent.packets += 1
-                link.sent.bytes += size
-                if link._m_sent is not None:
-                    link._m_sent.inc(size)
-                self._push(te + self.spec.backhaul_s, _K_GW, size, created)
+            self.link_sent_p += 1
+            self.link_sent_b += size
+            self._push(te + self.bk_s, _K_GW, size, payload[0])
             return
-        ue = self.ue
-        if not ue.attached:
-            ue.dropped_detached.packets += 1
-            ue.dropped_detached.bytes += size
-        elif not radio.connected:
-            self._dlq_push(size, created, pkt_seq)  # buffered for the outage drain
-        elif radio.survives_air():
-            self.modem.dl_received.add(te, size)  # modem.count_downlink
-            fault = self.fault_dl
-            if fault is not None:
-                # The injector pipe wraps ue.deliver, so the fate decision
-                # runs after the modem count, before the device monitor.
-                action, delay = fault(te)
-                if action is None:
-                    self.device.dl_monitor.counter.add(te, size)
-                elif action == "delay":
+        # modem.count_downlink.
+        mod = self.mod_cum
+        total = mod.total + size
+        mod.total = total
+        times = mod.times
+        if times and times[-1] == te:
+            mod.cums[-1] = total
+        else:
+            times.append(te)
+            mod.cums.append(total)
+        fault = self.fault_dl
+        if fault is not None:
+            # The injector pipe wraps ue.deliver, so the fate decision
+            # runs after the modem count, before the device monitor.
+            action, delay = fault(te)
+            if action is not None:
+                if action == "delay" or action == "dup":
                     self._push(te + delay, _K_DL_DELIVER, size)
-                elif action == "dup":
-                    self.device.dl_monitor.counter.add(te, size)
-                    self._push(te + delay, _K_DL_DELIVER, size)
-                # drop: counted at the modem, never at the device
-            else:
-                self.device.dl_monitor.counter.add(te, size)  # device.deliver
-        # else: phy-rss loss, counted nowhere
+                if action != "dup":
+                    # Delayed: the device counts it when it fires.
+                    # Dropped: counted at the modem, never at the device.
+                    return
+        # device.deliver → dl_monitor.observe.
+        dev = self.dev_cum
+        total = dev.total + size
+        dev.total = total
+        times = dev.times
+        if times and times[-1] == te:
+            dev.cums[-1] = total
+        else:
+            times.append(te)
+            dev.cums.append(total)
 
     def _on_gw(self, te: float, size: int, created: float) -> None:
         # Backhaul Link._deliver → Spgw.receive_uplink.
-        link = self.spec.backhaul_link
-        link.delivered.packets += 1
-        link.delivered.bytes += size
-        if link._m_delivered is not None:
-            link._m_delivered.inc(size)
-        spgw = self.spgw
+        self.link_del_p += 1
+        self.link_del_b += size
         if not self.bearer.active:
+            spgw = self.spgw
             spgw.detached_drops.packets += 1
             spgw.detached_drops.bytes += size
             self.drop_detached += size
             return
-        if self._quota_check(te, size):
+        if self.has_quota and self._quota_check(te, size):
+            spgw = self.spgw
             spgw.policed_drops.packets += 1
             spgw.policed_drops.bytes += size
             self.drop_policed += size
             return
-        self.bearer.count_uplink(te, size)
-        self.charged_ul += size
-        # EdgeServer._receive_uplink via the registered SPGW sink.
-        server = self.server
-        server.ul_monitor.counter.add(te, size)
-        server.stats.received += 1
-        server.stats.latencies.append(te - created)
+        # bearer.count_uplink, then EdgeServer._receive_uplink via the
+        # registered SPGW sink: server.ul_monitor.observe and its stats.
+        b = self.bearer_cum
+        total = b.total + size
+        b.total = total
+        times = b.times
+        if times and times[-1] == te:
+            b.cums[-1] = total
+        else:
+            times.append(te)
+            b.cums.append(total)
+        s = self.srv_cum
+        total = s.total + size
+        s.total = total
+        times = s.times
+        if times and times[-1] == te:
+            s.cums[-1] = total
+        else:
+            times.append(te)
+            s.cums.append(total)
+        self.received += 1
+        self.latencies.append(te - created)
 
     # -------------------------------------------------------------- outage
 
@@ -1491,10 +1590,10 @@ class _GeneralRun:
             return
         ue.rlf_count += 1
         # rrc.abort(): leave CONNECTED without a counter check.
-        if self.rrc_connected:
-            self.rrc_connected = False
+        if self.connected:
+            self.connected = False
             self.releases += 1
-            self.check_gen += 1
+            self.gen += 1
             self.release_at = _INF
         ue.attached = False
         # Buffered downlink dies silently (mark_dropped only, no stats).
@@ -1579,14 +1678,7 @@ class _GeneralRun:
 
     def _flush(self) -> None:
         spec = self.spec
-        spec.workload._until = self.until
-
-        rrc = spec.rrc
-        rrc.state = RrcState.CONNECTED if self.rrc_connected else RrcState.IDLE
-        rrc.setups += self.setups
-        rrc.releases += self.releases
-        rrc.counter_checks_sent += self.checks_sent
-        spec.modem.counter_checks_served += self.served
+        super()._flush()
 
         # Rebuild the drop-tail queue contents as real packets (sizes and
         # created_at are what the drain path observes; the qci mirrors
@@ -1638,7 +1730,7 @@ class _GeneralRun:
             policer._last = self.p_last
             self.spgw._policers[spec.flow_id] = policer
 
-        # Gateway metric counters, created lazily like the reference's
+        # Gateway drop counters, created lazily like the reference's
         # first-hit path so empty runs snapshot identically.
         metrics = spec.gateway_metrics
         if metrics is not None:
@@ -1650,14 +1742,6 @@ class _GeneralRun:
                 metrics.counter(
                     "cellular.gateway.drop_bytes", reason="policed"
                 ).inc(self.drop_policed)
-            if self.charged_ul:
-                metrics.counter(
-                    "cellular.gateway.charged_bytes", direction="UL"
-                ).inc(self.charged_ul)
-            if self.charged_dl:
-                metrics.counter(
-                    "cellular.gateway.charged_bytes", direction="DL"
-                ).inc(self.charged_dl)
 
         # Replay radio.outage spans into the runner's recorder.  The
         # recorder's _close reads the (stale) clock and would reject

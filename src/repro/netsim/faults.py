@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -83,6 +84,18 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} (know {FAULT_KINDS})")
+        # NaN slips past every sign and range comparison below (a NaN
+        # start makes active() true forever), and an infinite magnitude
+        # turns skew_at into inf * 0 = NaN.  Specs are decoded per UE on
+        # every shard claim, so one sum screens all four fields first:
+        # any NaN or infinity among them makes it non-finite.
+        if not math.isfinite(
+            self.start + self.magnitude + self.jitter_s + (self.duration or 0.0)
+        ):
+            for name in ("start", "duration", "magnitude", "jitter_s"):
+                value = getattr(self, name)
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"fault {name} must be finite, got {value}")
         if self.start < 0:
             raise ValueError(f"fault start must be non-negative, got {self.start}")
         if self.duration is not None and self.duration < 0:

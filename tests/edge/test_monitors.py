@@ -128,6 +128,44 @@ class TestCounterCheckMonitor:
         assert monitor.reports_received == 1
         assert monitor.total == 10
 
+    def test_ingest_equals_report_sequence(self):
+        """A batch ingest leaves exactly the state one on_report per
+        report leaves — including a reset re-baseline and a same-time
+        pair that coalesces into one counter point."""
+        reports = [
+            (1.0, 100, 1000),
+            (2.0, 150, 1000),
+            (2.0, 180, 1200),
+            (3.0, 30, 400),  # modem reset
+            (4.0, 50, 700),
+        ]
+        one = CounterCheckMonitor(EventLoop())
+        for t, ul, dl in reports:
+            one.on_report(CounterCheckResponse(t, ul, dl))
+        batch = CounterCheckMonitor(EventLoop())
+        batch.ingest(reports)
+
+        def state(monitor):
+            return (
+                monitor.reports_received,
+                monitor.resets_observed,
+                monitor._last_ul,
+                monitor._last_dl,
+                monitor._ul_reports._times,
+                monitor._ul_reports._cums,
+                monitor._dl_reports._times,
+                monitor._dl_reports._cums,
+            )
+
+        assert state(batch) == state(one)
+        assert batch.resets_observed == 1
+        assert batch.total == 1200 + 400 + 300
+
+    def test_ingest_rejects_time_going_backwards(self):
+        monitor = CounterCheckMonitor(EventLoop())
+        with pytest.raises(ValueError, match="backwards"):
+            monitor.ingest([(2.0, 0, 10), (1.0, 0, 20)])
+
 
 class TestErrorRatio:
     def test_zero_on_exact(self):

@@ -12,6 +12,8 @@ accidental tightening shows up as a new fallback.
 
 from dataclasses import replace
 
+import pytest
+
 from repro.cellular.air import RateWindow
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.scenarios import VRIDGE_DL, WEBCAM_UDP_UL
@@ -161,6 +163,44 @@ class TestRefusals:
             reason_for(runner)
             == "unrecognized fault-injector event pending on the loop"
         )
+
+
+class TestReportSink:
+    """The lane hands COUNTER CHECK reports to CounterCheckMonitor.ingest in
+    one batch at flush, so any other sink keeps the reference engine."""
+
+    REASON = "counter-check report sink is not a CounterCheckMonitor"
+
+    def foreign_sink(self, runner):
+        reports = []
+        ue = runner.network.enodeb.ue(str(runner.device.imsi))
+        ue.rrc.report_sink = reports.append
+        return reports
+
+    def test_refused_with_named_reason(self):
+        runner = make_runner()
+        self.foreign_sink(runner)
+        assert reason_for(runner) == self.REASON
+
+    def test_monitor_sink_resolves_the_monitor(self):
+        runner = make_runner(outage_eta=0.05)
+        lane, reason = build_scenario_lane(runner)
+        assert reason is None
+        assert lane.report_monitor is runner.counter_monitor
+
+    def test_auto_falls_back(self):
+        runner = ScenarioRunner(WEBCAM_UDP_UL.with_(**SHORT), kernel="auto")
+        reports = self.foreign_sink(runner)
+        runner.simulate()
+        assert runner.kernel_used == "reference"
+        assert runner.kernel_fallback_reason == self.REASON
+        assert reports  # the reference engine fed the foreign sink live
+
+    def test_strict_batched_raises(self):
+        runner = ScenarioRunner(WEBCAM_UDP_UL.with_(**SHORT), kernel="batched")
+        self.foreign_sink(runner)
+        with pytest.raises(RuntimeError, match=self.REASON):
+            runner.simulate()
 
 
 class TestChaosEligibility:

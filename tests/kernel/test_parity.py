@@ -471,3 +471,62 @@ class TestSelection:
         runner = ScenarioRunner(WEBCAM_UDP_UL.with_(**SHORT))
         runner.simulate()
         assert runner.kernel_used == "batched"
+
+
+#: The MATRIX rows that run on the general-mode executor: outage, quota,
+#: handover and the path-fault profiles (clock-drift rows keep the fold
+#: loop, every other row is steady traffic).
+GENERAL_ROWS = {
+    "ul-outage-rss-rlf", "dl-outage-buffering", "ul-quota-throttle",
+    "dl-quota-throttle", "dl-handover", "dl-handover-x2", "chaos-kitchen-sink",
+    "ul-bursty-profile", "dl-bursty-profile", "ul-flaky-link-profile",
+    "dl-flaky-link-profile", "ul-chaos-profile", "dl-chaos-profile",
+    "faults-kitchen-sink",
+}
+GENERAL_MATRIX = [row for row in MATRIX if row.id in GENERAL_ROWS]
+assert len(GENERAL_MATRIX) == len(GENERAL_ROWS), "a general-mode MATRIX row was renamed"
+
+
+def side_state(runner):
+    """Per-hop side counters the charging study never reads directly.
+
+    General mode keeps these as flat sums and installs them once at
+    flush; a lost or doubled term shows up here even when every usage
+    record agrees.
+    """
+    network = runner.network
+    ue = network.enodeb.ue(str(runner.device.imsi))
+    bearer = network.bearers.by_flow(runner.flow_id)
+    monitor = runner.counter_monitor
+    handover = runner.handover
+    return {
+        "lan": (flow(network._lan_dl.sent), flow(network._lan_dl.delivered)),
+        "backhaul": (flow(network._backhaul_ul.sent), flow(network._backhaul_ul.delivered)),
+        "spgw": (flow(network.spgw.detached_drops), flow(network.spgw.policed_drops)),
+        "ue": (flow(ue.dropped_detached), flow(ue.buffered_recovered), ue.rlf_count),
+        "dl_buffer": (flow(ue.dl_buffer.enqueued), flow(ue.dl_buffer.dropped)),
+        "ul_buffer": (
+            flow(runner.access._ul_buffer.enqueued),
+            flow(runner.access._ul_buffer.dropped),
+        ),
+        "bearer": (bearer.first_usage, bearer.last_usage, bearer.active),
+        "monitor": (
+            monitor.resets_observed,
+            monitor.reports_received,
+            monitor._last_ul,
+            monitor._last_dl,
+        ),
+        "handover": None if handover is None else (
+            handover.handovers, flow(handover.forwarded), flow(handover.dropped)
+        ),
+    }
+
+
+@pytest.mark.parametrize("config", GENERAL_MATRIX)
+def test_general_lane_side_state_bit_exact(config):
+    ref = ScenarioRunner(config, kernel="reference")
+    bat = ScenarioRunner(config, kernel="batched")
+    ref.run()
+    bat.run()
+    assert bat.kernel_used == "batched"
+    assert side_state(ref) == side_state(bat)

@@ -65,6 +65,34 @@ class TestFaultSpec:
                          magnitude=0.25, jitter_s=0.01)
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("blackout", "start", float("nan")),
+        ("blackout", "start", float("inf")),
+        ("blackout", "duration", float("nan")),
+        ("blackout", "duration", float("inf")),
+        ("clock-drift", "magnitude", float("inf")),
+        ("clock-skew", "magnitude", float("nan")),
+        ("reorder", "jitter_s", float("nan")),
+        ("duplicate", "jitter_s", float("inf")),
+    ])
+    @pytest.mark.parametrize("build", ["init", "from_dict"])
+    def test_rejects_non_finite_fields(self, kind, field, value, build):
+        data = {"kind": kind, "start": 0.0, "duration": 1.0, field: value}
+        if build == "from_dict":
+            # The scenario codec decodes schedules from JSON-ish dicts,
+            # where the value arrives as a string float() still parses.
+            data[field] = str(value)
+        with pytest.raises(ValueError, match=f"fault {field} must be finite"):
+            if build == "init":
+                FaultSpec(**data)
+            else:
+                FaultSpec.from_dict(data)
+
+    def test_open_ended_duration_stays_legal(self):
+        spec = FaultSpec.from_dict({"kind": "blackout", "start": 1.0, "duration": None})
+        assert spec.duration is None
+        assert spec.active(1e9)
+
 
 class TestFaultSchedule:
     def test_compose_concatenates(self):
