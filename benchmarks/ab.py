@@ -21,11 +21,33 @@ script pairs the runs instead:
   ``bound`` (see :func:`summarize`);
 * it writes ``benchmarks/out/ab/<workload>.json`` with the raw results of
   every run, both revisions, ``nproc`` and the Python version.
+
+Kernel changes move CPU by a few percent, less than the drift between
+processes, so ``--in-process`` compares the batched kernel alone, in one
+process::
+
+    python3 benchmarks/ab.py --in-process --base HEAD --rounds 30
+
+* it imports the base revision's ``repro/kernel/`` package beside the
+  working tree's (as ``repro.kernel_base``; everything else in ``repro``
+  is the working tree's) and swaps ``build_scenario_lane``,
+  ``build_session_lane`` and ``run_lane`` where
+  ``repro.experiments.runner`` and ``fleet_runner`` look them up;
+* every round times ``ScenarioRunner(config, kernel="batched").simulate()``
+  with process CPU for each side on each of four configs (webcam-udp-ul
+  and vridge-gvsp-dl at 2 x 120 s, plain and with fleet-chaos's
+  overrides), base first on even rounds and the change first on odd ones
+  (ABBA), and aborts unless both sides' results are equal;
+* per config it prints each side's median CPU and the median and
+  quartiles of the per-round ratio (change / base) — see
+  :func:`ratio_summary` — and writes ``benchmarks/out/ab/in-process.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import json
 import math
 import os
@@ -34,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +127,25 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def ratio_summary(base: list[float], change: list[float]) -> dict:
+    """One config's paired CPU times; ``base[i]`` pairs with ``change[i]``.
+
+    Each side's median, and the first quartile, median and third quartile
+    of the per-round ratio change / base (below 1: the change is faster).
+    """
+    if len(base) != len(change) or not base:
+        raise ValueError("need the same positive number of base and change samples")
+    if min(base) <= 0:
+        raise ValueError("base CPU times must be positive")
+    q1, median, q3 = quartiles([c / b for b, c in zip(base, change)])
+    return {
+        "base_median": statistics.median(base),
+        "change_median": statistics.median(change),
+        "ratio": {"q1": q1, "median": median, "q3": q3},
+        "rounds": len(base),
+    }
+
+
 def parse_seeds(items: list[str]) -> list[int]:
     """``["31-33", "40"]`` -> ``[31, 32, 33, 40]``."""
     seeds = []
@@ -115,12 +157,17 @@ def parse_seeds(items: list[str]) -> list[int]:
     return seeds
 
 
-def export(rev: str, into: Path) -> str:
-    """Extract ``rev`` of this repository into ``into``; its full sha."""
-    sha = subprocess.run(
+def rev_sha(rev: str) -> str:
+    """The full sha of commit ``rev`` of this repository."""
+    return subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
         cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout.strip()
+
+
+def export(rev: str, into: Path) -> str:
+    """Extract ``rev`` of this repository into ``into``; its full sha."""
+    sha = rev_sha(rev)
     archive = subprocess.run(
         ["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True,
     ).stdout
@@ -144,20 +191,122 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def load_base_kernel(sha: str, into: Path):
+    """Import ``sha``'s ``repro/kernel/`` package as ``repro.kernel_base``.
+
+    Its relative imports of the rest of ``repro`` resolve to the working
+    tree, so the two sides differ in the kernel only.
+    """
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", sha, "src/repro/kernel"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    package = into / "src" / "repro" / "kernel"
+    spec = importlib.util.spec_from_file_location(
+        "repro.kernel_base", package / "__init__.py",
+        submodule_search_locations=[str(package)],
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def in_process(base: str, rounds: int) -> int:
+    """The one-process kernel A/B (see the module docstring)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import repro.kernel
+    from repro.experiments import fleet_runner, runner
+    from repro.experiments.scenarios import VRIDGE_DL, WEBCAM_UDP_UL
+    from repro.netsim.faults import FAULT_PROFILES
+
+    def use(kernel) -> None:
+        runner.build_scenario_lane = kernel.build_scenario_lane
+        fleet_runner.build_session_lane = kernel.build_session_lane
+        fleet_runner.run_lane = kernel.run_lane
+
+    def timed(config) -> tuple[float, tuple]:
+        scenario = runner.ScenarioRunner(config, kernel="batched")
+        gc.collect()
+        start = time.process_time()
+        scenario.simulate()
+        cpu = time.process_time() - start
+        usages = scenario.collect()
+        scenario.collect_metrics()
+        return cpu, (usages, scenario.metrics.snapshot())
+
+    chaos = dict(outage_eta=0.1, faults=FAULT_PROFILES["chaos"],
+                 handover_interval_s=20.0, handover_x2=True)
+    configs = {}
+    for app in (WEBCAM_UDP_UL, VRIDGE_DL):
+        plain = app.with_(n_cycles=2, cycle_duration_s=120.0)
+        configs[app.name] = plain
+        configs[f"{app.name}+chaos"] = plain.with_(**chaos)
+
+    sha = rev_sha(base)
+    cpu = {name: {"base": [], "change": []} for name in configs}
+    with tempfile.TemporaryDirectory(prefix="ab-kernel-") as tmp:
+        sides = {"base": load_base_kernel(sha, Path(tmp)), "change": repro.kernel}
+        try:
+            for index in range(rounds):
+                order = ("base", "change") if index % 2 == 0 else ("change", "base")
+                for name, config in configs.items():
+                    results = {}
+                    for side in order:
+                        use(sides[side])
+                        seconds, results[side] = timed(config)
+                        cpu[name][side].append(seconds)
+                    if results["base"] != results["change"]:
+                        sys.exit(f"ab: {name} round {index}: base and change results differ")
+                print(f"ab: round {index + 1}/{rounds} done", file=sys.stderr)
+        finally:
+            use(repro.kernel)
+
+    summary = {}
+    print(f"{'config':<24} {'base cpu s':>10} {'change cpu s':>12}   ratio q1/med/q3")
+    for name in configs:
+        row = ratio_summary(cpu[name]["base"], cpu[name]["change"])
+        summary[name] = row
+        ratio = row["ratio"]
+        print(f"{name:<24} {row['base_median']:>10.4f} {row['change_median']:>12.4f}   "
+              f"{ratio['q1']:.3f} {ratio['median']:.3f} {ratio['q3']:.3f}")
+
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    out = OUT_DIR / "in-process.json"
+    out.write_text(json.dumps({
+        "rounds": rounds,
+        "base": {"rev": base, "sha": sha},
+        "change": {"rev": "working tree", "head": rev_sha("HEAD")},
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "summary": summary,
+        "cpu_s": cpu,
+    }, indent=2) + "\n")
+    print(f"ab: wrote {out.relative_to(ROOT)}", file=sys.stderr)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload",
                         choices=[workload["name"] for workload in spec["workloads"]])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--seeds", nargs="+", required=True,
+    parser.add_argument("--seeds", nargs="+",
                         help="seeds or inclusive ranges, e.g. 31-40")
+    parser.add_argument("--in-process", action="store_true",
+                        help="compare the batched kernel alone, in this process")
+    parser.add_argument("--rounds", type=int, default=30,
+                        help="ABBA rounds of --in-process (default 30)")
     args = parser.parse_args(argv)
+    if args.in_process:
+        return in_process(args.base, args.rounds)
+    if args.workload is None or not args.seeds:
+        parser.error("--workload and --seeds are required without --in-process")
     seeds = parse_seeds(args.seeds)
-    head = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout.strip()
+    head = rev_sha("HEAD")
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:

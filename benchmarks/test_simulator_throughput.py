@@ -135,10 +135,10 @@ def test_scenario_kernel_speedup(archive):
 
 
 def test_fleet_chaos_kernel_speedup(archive):
-    """General-mode lanes vs. the reference engine at fleet scale.
+    """Dynamic lanes vs. the reference engine at fleet scale.
 
-    Outage sessions can't take the fold loops (path state changes
-    mid-frame), so they ride the per-hop general executor — a smaller
+    Outage sessions can't fold their wired hops (path state changes
+    mid-frame), so each hop is its own wheel event — a smaller
     win per event, but one that *grows* with population because the
     reference pays O(log N) heap dispatch on a shared 1000-UE loop
     while lanes stay per-UE.  Gate: ≥5x pooled CPU on a 1000-UE fleet
@@ -168,7 +168,7 @@ def test_fleet_chaos_kernel_speedup(archive):
     archive(
         "fleet_chaos_speedup",
         f"1000-UE chaos fleet (outage_eta=0.1): reference {t_ref:.1f}s cpu, "
-        f"batched general-mode {t_bat:.1f}s cpu, speedup {speedup:.1f}x",
+        f"batched dynamic-lane {t_bat:.1f}s cpu, speedup {speedup:.1f}x",
     )
     assert speedup >= 5.0, f"chaos fleet speedup regressed: {speedup:.2f}x < 5x"
 
@@ -209,7 +209,7 @@ def test_fleet_chaos_profile_kernel_speedup(archive):
     archive(
         "fleet_chaos_profile_speedup",
         f"1000-UE chaos fleet (outage_eta=0.1 + canned 'chaos' fault profile): "
-        f"reference {timings['reference']:.1f}s cpu, batched general-mode "
+        f"reference {timings['reference']:.1f}s cpu, batched dynamic-lane "
         f"{timings['batched']:.1f}s cpu, speedup {speedup:.1f}x",
     )
     assert speedup >= 5.0, f"chaos-profile fleet speedup regressed: {speedup:.2f}x < 5x"

@@ -18,7 +18,6 @@ from .gap import (
     reduction_ratio,
 )
 from .generic import GenericDownlinkInstance
-from .mixed import MixedSolution, solve_mixed
 from .negotiation import NegotiationEngine, NegotiationResult, RoundRecord
 from .plan import ChargingCycle, DataPlan
 from .quota import QuotaTrigger, QuotaWatcher
@@ -50,8 +49,6 @@ __all__ = [
     "legacy_charge",
     "reduction_ratio",
     "GenericDownlinkInstance",
-    "MixedSolution",
-    "solve_mixed",
     "NegotiationEngine",
     "NegotiationResult",
     "RoundRecord",

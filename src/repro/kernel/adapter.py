@@ -176,17 +176,19 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
     if reason is not None:
         return None, reason
 
-    # Path-kind fault schedules replay at the lane's injection points in
-    # general mode; clock-only schedules (skew/drift apply in the shared
-    # collect() phase) and schedules matching neither point keep the fold
-    # loops — the reference draws no fault RNG for them either.  Armed
+    # Path-kind fault schedules replay at a dynamic lane's injection
+    # points; clock-only schedules (skew/drift apply in the shared
+    # collect() phase) and schedules matching neither point keep the lane
+    # static — the reference draws no fault RNG for them either.  Armed
     # counter resets ride in via ``absorbed``.
     fault_view = None
     if fault_injector is not None:
         fault_view = fault_injector.lane_view(("uplink", "downlink"))
 
-    # Outage, RSS, quota, handover and path-fault sessions run the
-    # general-mode executor; everything else takes the faster fold loops.
+    # Outage, RSS, quota, handover and path-fault sessions are dynamic
+    # lanes: their path state can change between two hops, so the lane
+    # runs every hop at its own wheel event.  Every other lane is static
+    # and folds its wired hops, the faster path.
     has_quota = flow_id in network.pcrf._quotas
     needs_general = (
         radio.profile.outages_enabled

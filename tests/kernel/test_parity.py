@@ -145,6 +145,33 @@ MATRIX = [
         ),
         id="faults-kitchen-sink",
     ),
+    # 6000-s cycles put the periodic COUNTER CHECK interval at the 10-s
+    # RRC inactivity timeout, and a frame every 20 s lets each connection
+    # time out: the first periodic check (armed at setup, before the
+    # release timer) ties with the release and must fire first.
+    pytest.param(
+        WEBCAM_RTSP_UL.with_(
+            workload=replace(WEBCAM_RTSP_UL.workload, fps=0.05),
+            n_cycles=1,
+            cycle_duration_s=6000.0,
+        ),
+        id="sparse-ul-check-equals-timeout",
+    ),
+    pytest.param(
+        GAMING_DL.with_(
+            workload=replace(GAMING_DL.workload, fps=0.05),
+            n_cycles=1,
+            cycle_duration_s=6000.0,
+        ),
+        id="sparse-dl-check-equals-timeout",
+    ),
+    # Multi-chunk DL frames partly policed at the SPGW, whose surviving
+    # chunks are then buffered across an outage and drained: per-chunk
+    # sender seqs must survive both.
+    pytest.param(
+        VRIDGE_DL.with_(quota_bytes=400_000, outage_eta=0.12, **SHORT),
+        id="dl-partly-policed-frames-buffered",
+    ),
 ]
 
 
@@ -481,7 +508,7 @@ GENERAL_ROWS = {
     "dl-quota-throttle", "dl-handover", "dl-handover-x2", "chaos-kitchen-sink",
     "ul-bursty-profile", "dl-bursty-profile", "ul-flaky-link-profile",
     "dl-flaky-link-profile", "ul-chaos-profile", "dl-chaos-profile",
-    "faults-kitchen-sink",
+    "faults-kitchen-sink", "dl-partly-policed-frames-buffered",
 }
 GENERAL_MATRIX = [row for row in MATRIX if row.id in GENERAL_ROWS]
 assert len(GENERAL_MATRIX) == len(GENERAL_ROWS), "a general-mode MATRIX row was renamed"

@@ -88,3 +88,33 @@ def test_parse_seeds_ranges_and_lists():
     assert ab.parse_seeds(["31-33", "40"]) == [31, 32, 33, 40]
     with pytest.raises(ValueError):
         ab.parse_seeds(["1-3", "2"])
+
+
+def test_ratio_summary_medians_and_ratio_quartiles():
+    base = [1.0, 2.0, 4.0, 1.0, 2.0]
+    change = [1.1, 1.8, 4.4, 1.0, 2.2]  # ratios 1.1, 0.9, 1.1, 1.0, 1.1
+    row = ab.ratio_summary(base, change)
+    assert row["rounds"] == 5
+    assert row["base_median"] == 2.0
+    assert row["change_median"] == pytest.approx(1.8)
+    assert row["ratio"]["median"] == pytest.approx(1.1)
+    assert row["ratio"]["q1"] == pytest.approx(0.95)
+    assert row["ratio"]["q3"] == pytest.approx(1.1)
+
+
+def test_ratio_summary_pairs_rounds_not_sorted_sides():
+    # Per-side medians agree, yet every round the change took twice as
+    # long: the paired ratio must say so.
+    base = [1.0, 2.0, 3.0, 4.0]
+    change = [2.0, 4.0, 6.0, 0.5]
+    row = ab.ratio_summary(base, change)
+    assert row["ratio"]["median"] == pytest.approx(2.0)
+
+
+def test_ratio_summary_rejects_unpaired_or_zero_samples():
+    with pytest.raises(ValueError):
+        ab.ratio_summary([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError):
+        ab.ratio_summary([], [])
+    with pytest.raises(ValueError):
+        ab.ratio_summary([0.0], [1.0])
