@@ -35,9 +35,12 @@ process::
   ``repro.experiments.runner`` and ``fleet_runner`` look them up;
 * every round times ``ScenarioRunner(config, kernel="batched").simulate()``
   with process CPU for each side on each of four configs (webcam-udp-ul
-  and vridge-gvsp-dl at 2 x 120 s, plain and with fleet-chaos's
-  overrides), base first on even rounds and the change first on odd ones
-  (ABBA), and aborts unless both sides' results are equal;
+  at 2 x 720 s and vridge-gvsp-dl at 2 x 240 s, plain and with
+  fleet-chaos's overrides; each run costs at least about 0.2 s of CPU on
+  a 2-vCPU host, and host drift between adjacent runs still spreads an
+  A/A run's per-round ratio by a few percent), base first on even rounds
+  and the change first on odd ones (ABBA), and aborts unless both sides'
+  results are equal;
 * per config it prints each side's median CPU and the median and
   quartiles of the per-round ratio (change / base) — see
   :func:`ratio_summary` — and writes ``benchmarks/out/ab/in-process.json``.
@@ -239,8 +242,8 @@ def in_process(base: str, rounds: int) -> int:
     chaos = dict(outage_eta=0.1, faults=FAULT_PROFILES["chaos"],
                  handover_interval_s=20.0, handover_x2=True)
     configs = {}
-    for app in (WEBCAM_UDP_UL, VRIDGE_DL):
-        plain = app.with_(n_cycles=2, cycle_duration_s=120.0)
+    for app, cycle_s in ((WEBCAM_UDP_UL, 720.0), (VRIDGE_DL, 240.0)):
+        plain = app.with_(n_cycles=2, cycle_duration_s=cycle_s)
         configs[app.name] = plain
         configs[f"{app.name}+chaos"] = plain.with_(**chaos)
 

@@ -15,6 +15,7 @@ checks every golden figure/table quantity against
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,6 +25,7 @@ from typing import Callable
 
 from ..obs import MetricsSnapshot, RunManifest, render_accounting
 from . import export, figures, parallel
+from .fleet import FleetConfig
 
 #: Default artifact/manifest directory (the benchmark harness's layout).
 DEFAULT_OUT_DIR = Path("benchmarks") / "out"
@@ -137,6 +139,43 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $REPRO_SIM_KERNEL or auto)",
         )
 
+    def add_artifact_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--out-dir", metavar="DIR", default=str(DEFAULT_OUT_DIR),
+            help=f"artifact + manifest directory (default: {DEFAULT_OUT_DIR})",
+        )
+        p.add_argument(
+            "--no-manifest", action="store_true",
+            help="print only; do not write artifacts or a run manifest",
+        )
+
+    def add_population_options(p: argparse.ArgumentParser, ues: int | None) -> None:
+        """The flags :func:`_fleet_config` reads; ``ues=None`` makes
+        ``--ues`` required, the other defaults are ``FleetConfig``'s."""
+        p.add_argument(
+            "--ues", type=int, default=ues, required=ues is None, metavar="N",
+            help="population size (number of simulated subscribers"
+            + ("" if ues is None else f"; default: {ues}") + ")",
+        )
+        defaults = {f.name: f.default for f in dataclasses.fields(FleetConfig)}
+        for flag, field, kind, metavar, text in (
+            ("--shard-size", "shard_size", int, "K", "UEs simulated together per shard"),
+            ("--seed", "seed", int, None, "fleet seed"),
+            ("--cycles", "n_cycles", int, "N", "charging cycles per UE"),
+            ("--cycle-seconds", "cycle_duration_s", float, "S", "charging cycle length"),
+            ("--zipf", "zipf_s", float, "S",
+             "Zipf popularity exponent over the archetype mix"),
+        ):
+            p.add_argument(
+                flag, type=kind, default=defaults[field], metavar=metavar,
+                help=f"{text} (default: {defaults[field]:g})",
+            )
+        p.add_argument(
+            "--mix", metavar="A,B,...", default=None,
+            help="comma-separated workload archetypes in popularity order "
+            "(default: the built-in five-archetype mix)",
+        )
+
     report = sub.add_parser(
         "report", help="run every experiment and write a markdown report"
     )
@@ -167,45 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also export plot-ready CSV data into DIR",
     )
-    run.add_argument(
-        "--out-dir", metavar="DIR", default=str(DEFAULT_OUT_DIR),
-        help=f"artifact + manifest directory (default: {DEFAULT_OUT_DIR})",
-    )
-    run.add_argument(
-        "--no-manifest", action="store_true",
-        help="print only; do not write artifacts or a run manifest",
-    )
+    add_artifact_options(run)
     add_engine_options(run)
 
     fleet = sub.add_parser(
         "fleet", help="population-scale sweep: N UEs sharded over the engine"
     )
-    fleet.add_argument(
-        "--ues", type=int, required=True, metavar="N",
-        help="population size (number of simulated subscribers)",
-    )
-    fleet.add_argument(
-        "--shard-size", type=int, default=8, metavar="K",
-        help="UEs simulated together per shard (default: 8)",
-    )
-    fleet.add_argument("--seed", type=int, default=1, help="fleet seed (default: 1)")
-    fleet.add_argument(
-        "--cycles", type=int, default=2, metavar="N",
-        help="charging cycles per UE (default: 2)",
-    )
-    fleet.add_argument(
-        "--cycle-seconds", type=float, default=30.0, metavar="S",
-        help="charging cycle length (default: 30)",
-    )
-    fleet.add_argument(
-        "--zipf", type=float, default=1.1, metavar="S",
-        help="Zipf popularity exponent over the archetype mix (default: 1.1)",
-    )
-    fleet.add_argument(
-        "--mix", metavar="A,B,...", default=None,
-        help="comma-separated workload archetypes in popularity order "
-        "(default: the built-in five-archetype mix)",
-    )
+    add_population_options(fleet, ues=None)
     fleet.add_argument(
         "--outage-eta", type=float, default=None, metavar="ETA",
         help="chaos profile: disconnectivity fraction applied to every UE "
@@ -233,14 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--accounting", action="store_true",
         help="also render the merged layer-by-layer accounting table",
     )
-    fleet.add_argument(
-        "--out-dir", metavar="DIR", default=str(DEFAULT_OUT_DIR),
-        help=f"artifact + manifest directory (default: {DEFAULT_OUT_DIR})",
-    )
-    fleet.add_argument(
-        "--no-manifest", action="store_true",
-        help="print only; do not write artifacts or a run manifest",
-    )
+    add_artifact_options(fleet)
     fleet.add_argument(
         "--via-service", action="store_true",
         help="replay the fleet through the reconciliation service as "
@@ -254,31 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the charging-reconciliation service under a sustained "
         "fleet-replay load (simulated clock)",
     )
-    serve.add_argument(
-        "--ues", type=int, default=48, metavar="N",
-        help="population replayed as claim traffic (default: 48)",
-    )
-    serve.add_argument(
-        "--shard-size", type=int, default=8, metavar="K",
-        help="UEs per shard claim (default: 8)",
-    )
-    serve.add_argument("--seed", type=int, default=1, help="fleet seed (default: 1)")
-    serve.add_argument(
-        "--cycles", type=int, default=2, metavar="N",
-        help="charging cycles per UE (default: 2)",
-    )
-    serve.add_argument(
-        "--cycle-seconds", type=float, default=30.0, metavar="S",
-        help="charging cycle length (default: 30)",
-    )
-    serve.add_argument(
-        "--zipf", type=float, default=1.1, metavar="S",
-        help="Zipf popularity exponent over the archetype mix (default: 1.1)",
-    )
-    serve.add_argument(
-        "--mix", metavar="A,B,...", default=None,
-        help="comma-separated workload archetypes in popularity order",
-    )
+    add_population_options(serve, ues=48)
     serve.add_argument(
         "--duration", type=float, default=60.0, metavar="S",
         help="simulated seconds the claim arrivals are spread over "
@@ -328,14 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless every claim settled and no worker crashed "
         "(the soak gate)",
     )
-    serve.add_argument(
-        "--out-dir", metavar="DIR", default=str(DEFAULT_OUT_DIR),
-        help=f"artifact + manifest directory (default: {DEFAULT_OUT_DIR})",
-    )
-    serve.add_argument(
-        "--no-manifest", action="store_true",
-        help="print only; do not write artifacts or a run manifest",
-    )
+    add_artifact_options(serve)
     add_engine_options(serve)
 
     obs = sub.add_parser(
@@ -409,11 +378,33 @@ def _manifest(args, name: str, command: str) -> RunManifest | None:
     return manifest
 
 
-def _mix(args) -> dict:
-    """``--mix A,B,...`` as FleetConfig keywords (none when unset)."""
-    if not args.mix:
-        return {}
-    return {"mix": tuple(name.strip() for name in args.mix.split(",") if name.strip())}
+def _fleet_config(args) -> FleetConfig:
+    """The population that ``fleet``'s or ``serve``'s flags describe.
+
+    Raises ``ValueError`` (a usage error) on an out-of-range value.
+    """
+    extra = {}
+    if args.mix:
+        extra["mix"] = tuple(name.strip() for name in args.mix.split(",") if name.strip())
+    if args.command == "fleet":
+        # Only a batch sweep stamps the chaos overrides and the fault
+        # profile on every UE (and so into the shard cache keys).
+        extra.update(
+            outage_eta=args.outage_eta,
+            handover_interval_s=args.handover_interval,
+            handover_x2=args.handover_x2,
+            quota_bytes=args.quota_bytes,
+            fault_profile=args.fault_profile or None,
+        )
+    return FleetConfig(
+        ues=args.ues,
+        shard_size=args.shard_size,
+        seed=args.seed,
+        n_cycles=args.cycles,
+        cycle_duration_s=args.cycle_seconds,
+        zipf_s=args.zipf,
+        **extra,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,13 +423,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _configure_engine(args)
-    except ValueError as exc:  # e.g. an unknown --fault-profile name
+        if args.command in ("fleet", "serve"):
+            fleet_config = _fleet_config(args)
+    except ValueError as exc:  # e.g. an unknown --fault-profile, --cycles 0
         print(str(exc), file=sys.stderr)
         return 2
     if args.command == "fleet":
-        return _run_fleet(args)
+        return _run_fleet(args, fleet_config)
     if args.command == "serve":
-        return _run_serve(args)
+        return _run_serve(args, fleet_config)
     if args.command == "report":
         return _write_report(Path(args.out))
     if args.command == "baseline":
@@ -501,31 +494,12 @@ def _verify_ledger(args) -> int:
     return 1
 
 
-def _run_fleet(args) -> int:
+def _run_fleet(args, fleet_config: FleetConfig) -> int:
     """The ``repro fleet`` subcommand: sharded population sweep."""
     import csv
 
-    from .fleet import FleetConfig, run_fleet
+    from .fleet import run_fleet
     from .runner import SCHEMES
-
-    try:
-        fleet_config = FleetConfig(
-            ues=args.ues,
-            shard_size=args.shard_size,
-            seed=args.seed,
-            n_cycles=args.cycles,
-            cycle_duration_s=args.cycle_seconds,
-            zipf_s=args.zipf,
-            outage_eta=args.outage_eta,
-            handover_interval_s=args.handover_interval,
-            handover_x2=args.handover_x2,
-            quota_bytes=args.quota_bytes,
-            fault_profile=args.fault_profile or None,
-            **_mix(args),
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
 
     if args.via_service and args.per_ue_csv:
         # The service streams per-UE rows into its settlement ledger
@@ -612,7 +586,7 @@ def _run_fleet(args) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
+def _run_serve(args, fleet_config: FleetConfig) -> int:
     """The ``repro serve`` subcommand: service soak under fleet replay."""
     from ..netsim.faults import FAULT_PROFILES
     from ..service import (
@@ -622,7 +596,6 @@ def _run_serve(args) -> int:
         replay_fleet,
         resume_fleet_replay,
     )
-    from .fleet import FleetConfig
 
     ingest_faults = None
     if args.ingest_fault_profile:
@@ -635,15 +608,6 @@ def _run_serve(args) -> int:
             )
             return 2
     try:
-        fleet_config = FleetConfig(
-            ues=args.ues,
-            shard_size=args.shard_size,
-            seed=args.seed,
-            n_cycles=args.cycles,
-            cycle_duration_s=args.cycle_seconds,
-            zipf_s=args.zipf,
-            **_mix(args),
-        )
         replay_config = ReplayConfig(
             duration_s=args.duration,
             vendors=args.vendors,
@@ -700,9 +664,8 @@ def _run_serve(args) -> int:
     print(f"rejections       : {rejected or 'none'}")
     print(f"shards settled   : {service.report.simulated} simulated, "
           f"{service.report.cached} cached")
-    print(f"cache            : {service.cache.hits_memory} memory hits, "
-          f"{service.cache.hits_disk} disk hits, {service.cache.misses} misses, "
-          f"{service.cache.spilled} spilled")
+    print(f"cache            : {service.cache.hits_disk} hits, "
+          f"{service.cache.misses} misses")
     print(f"dropped claims   : {stats.dropped}")
     print(f"crashed workers  : {len(crashed)}")
     snapshot = service.metrics.snapshot()

@@ -8,15 +8,14 @@ This package holds the long-running counterpart:
 * :mod:`repro.service.sim_async` — a deterministic coroutine runtime on
   the simulated :class:`~repro.netsim.events.EventLoop` (futures, tasks,
   bounded queues with backpressure);
-* :mod:`repro.service.cache` — a tiered in-memory-LRU / on-disk result
-  cache reusing the content-addressed
-  :class:`~repro.experiments.parallel.ResultCache`;
 * :mod:`repro.service.ratelimit` — per-vendor token buckets refilled on
   the simulated clock;
 * :mod:`repro.service.pool` — a process-pool bridge that lets settle
   workers await real CPU-parallel shard simulations as SimFutures;
 * :mod:`repro.service.service` — the service itself: claim ingestion,
-  background settlement + PoC-verification workers, streaming JSON-lines
+  background settlement + PoC-verification workers over the batch
+  engine's content-addressed
+  :class:`~repro.experiments.parallel.ResultCache`, streaming JSON-lines
   settlement output, all instrumented through :mod:`repro.obs`;
 * :mod:`repro.service.loadgen` — the fleet engine as a load generator:
   replay a :class:`~repro.experiments.fleet.FleetConfig` as sustained
@@ -30,7 +29,6 @@ resume at any point of the run (the ledger doubles as a write-ahead
 journal; see :meth:`ReconciliationService.resume`).
 """
 
-from .cache import TieredCache
 from .loadgen import ReplayConfig, ReplayStats, replay_fleet, resume_fleet_replay
 from .pool import SimProcessPool
 from .ratelimit import TokenBucket
@@ -58,7 +56,6 @@ __all__ = [
     "SimQueue",
     "SimRuntime",
     "SimTask",
-    "TieredCache",
     "TokenBucket",
     "make_poc_claim",
     "replay_fleet",

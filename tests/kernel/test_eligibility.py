@@ -204,7 +204,7 @@ class TestReportSink:
 
 
 class TestChaosEligibility:
-    """The chaos lanes batched in PRs 6 and 9 must build general-mode lanes."""
+    """Outage, quota, handover and fault sessions must build dynamic lanes."""
 
     def assert_general(self, runner, n_absorbed):
         lane, reason = build_scenario_lane(runner)
@@ -249,7 +249,7 @@ class TestChaosEligibility:
     def test_counter_reset_session(self):
         # The armed _reset_modem event is absorbed like outage/handover
         # chain heads; a reset-only schedule touches no path point, so
-        # ``absorbed`` alone forces general mode.
+        # ``absorbed`` alone forces a dynamic lane.
         runner = make_runner(
             faults=FaultSchedule(
                 specs=(FaultSpec("counter-reset", target="modem", start=2.0),)
@@ -259,7 +259,7 @@ class TestChaosEligibility:
 
     def test_clock_only_faults_keep_fold_lane(self):
         # Skew/drift apply in the shared collect() phase; the lane never
-        # sees them, so a clock-only schedule stays on the fold loops.
+        # sees them, so a clock-only schedule keeps the lane static.
         runner = make_runner(
             faults=FaultSchedule(
                 specs=(

@@ -7,8 +7,8 @@ RNG-dependent internals and latency lists.  These tests pin that
 contract over a config matrix that exercises every hot path the kernel
 mirrors: all four shipped workloads, congestion (background demand
 splits), SLA middlebox drops, sparse traffic that cycles the RRC
-state machine through release/re-setup, and the chaos lanes the
-general executor took over from the reference fallback — outage
+state machine through release/re-setup, and the chaos sessions that
+dynamic lanes took over from the reference fallback — outage
 windows (with RSS walks and RLF detach), PCRF quota throttling,
 X2/non-X2 handover, and fault schedules (burst loss, reorder,
 duplication, blackouts, counter resets, clock drift) replayed at the
@@ -66,7 +66,7 @@ MATRIX = [
         ),
         id="sparse-ul-rrc-cycling",
     ),
-    # Chaos lanes: each was a fallback reason before the general executor.
+    # Chaos lanes: each was a fallback reason before dynamic lanes.
     pytest.param(
         WEBCAM_RTSP_UL.with_(outage_eta=0.12, **SHORT), id="ul-outage-rss-rlf"
     ),
@@ -500,9 +500,9 @@ class TestSelection:
         assert runner.kernel_used == "batched"
 
 
-#: The MATRIX rows that run on the general-mode executor: outage, quota,
-#: handover and the path-fault profiles (clock-drift rows keep the fold
-#: loop, every other row is steady traffic).
+#: The MATRIX rows that run as dynamic lanes: outage, quota, handover and
+#: the path-fault profiles (clock-drift rows stay static lanes, every
+#: other row is steady traffic).
 GENERAL_ROWS = {
     "ul-outage-rss-rlf", "dl-outage-buffering", "ul-quota-throttle",
     "dl-quota-throttle", "dl-handover", "dl-handover-x2", "chaos-kitchen-sink",
@@ -517,7 +517,7 @@ assert len(GENERAL_MATRIX) == len(GENERAL_ROWS), "a general-mode MATRIX row was 
 def side_state(runner):
     """Per-hop side counters the charging study never reads directly.
 
-    General mode keeps these as flat sums and installs them once at
+    Dynamic lanes keep these as flat sums and install them once at
     flush; a lost or doubled term shows up here even when every usage
     record agrees.
     """

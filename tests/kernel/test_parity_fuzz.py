@@ -3,7 +3,7 @@
 The hand-picked matrix in ``test_parity.py`` pins the configurations we
 thought of; this harness searches the ones we didn't.  Hypothesis draws
 a :class:`~repro.experiments.scenarios.ScenarioConfig` across every
-dimension the general executor mirrors — direction × workload ×
+dimension dynamic lanes mirror — direction × workload ×
 congestion × outage η × quota × RRC pressure (cycle length drives the
 counter-check interval, frame rate drives release/re-setup cycling) ×
 handover schedule × fault schedule (random specs over every fault kind
@@ -148,7 +148,7 @@ def deep_state(runner, result):
 #: Glob patterns exercising every match shape a schedule can take:
 #: exact points, wildcards spanning both lane points, clock-only
 #: targets, and globs matching nothing at all (which must leave the
-#: lane on the fold loops with zero fault RNG draws).
+#: lane static with zero fault RNG draws).
 FUZZ_TARGETS = [
     "*", "uplink", "downlink", "*link*",
     "modem", "edge-clock", "operator-clock", "no-match-*",

@@ -108,7 +108,6 @@ class TestServiceConfigValidation:
             {"shard_service_time_s": -0.05},
             {"poc_service_time_s": -1e-9},
             {"probe_service_time_s": -2.0},
-            {"memory_cache_entries": 0},
         ],
     )
     def test_invalid_config_rejected_up_front(self, kwargs):
