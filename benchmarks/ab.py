@@ -17,8 +17,9 @@ script pairs the runs instead:
   the comparison — a failed run is never counted as a number;
 * for every end-to-end metric of ``BENCHMARK.json`` it prints each side's
   median and quartiles, the median per-pair ratio (change / base), the
-  pairs the change won, and a verdict against the metric's ``better`` and
-  ``bound`` (see :func:`summarize`);
+  pairs the change won, a verdict against the metric's ``better`` and
+  ``bound`` (see :func:`summarize`) and, beside it, a seeded 95 % bootstrap
+  interval of the median pair ratio;
 * it writes ``benchmarks/out/ab/<workload>.json`` with the raw results of
   every run, both revisions, ``nproc`` and the Python version.
 
@@ -55,6 +56,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -66,6 +68,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / "benchmarks" / "out" / "ab"
 #: Share of pairs the change must win for a gain (9 of 10).
 GAIN_WIN_SHARE = 0.9
+#: Resamples and seed of the bootstrap interval of the median pair ratio.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 1
 
 GAIN = "gain"
 NO_WORSE = "no worse"
@@ -79,6 +84,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
+
+
+def bootstrap_interval(ratios: list[float]) -> list[float] | None:
+    """Seeded 95 % percentile-bootstrap interval of the median of ``ratios``.
+
+    Resamples the pair ratios with replacement :data:`BOOTSTRAP_RESAMPLES`
+    times from a fixed seed, so the same ratios always give the same
+    interval; None without ratios.
+    """
+    if not ratios:
+        return None
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios)))
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    )
+    tail = BOOTSTRAP_RESAMPLES // 40  # 2.5 % of the resamples on each side
+    return [medians[tail], medians[-1 - tail]]
 
 
 def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -95,6 +118,10 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
       of its median, so the runs spread too widely to call the metric
       unchanged;
     * ``no worse``: otherwise.
+
+    ``ratio_ci95`` is the 95 % bootstrap interval of the median pair ratio
+    (see :func:`bootstrap_interval`); it is reported, not used by the
+    verdict.
     """
     if better not in ("higher", "lower"):
         raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
@@ -124,6 +151,7 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
         "base": {"q1": b_q1, "median": b_med, "q3": b_q3},
         "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
         "ratio_median": statistics.median(ratios) if ratios else None,
+        "ratio_ci95": bootstrap_interval(ratios),
         "wins": wins,
         "pairs": len(base),
         "verdict": verdict,
@@ -333,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = {}
     print(f"{'metric':<22} {'base q1/med/q3':>30} {'change q1/med/q3':>30} "
-          f"{'ratio':>7} {'wins':>6}  verdict")
+          f"{'ratio':>7} {'wins':>6}  verdict     ratio 95% ci")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         row = summarize(samples("base", name), samples("change", name),
@@ -341,9 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         summary[name] = row
         b, c = row["base"], row["change"]
         ratio = "-" if row["ratio_median"] is None else f"{row['ratio_median']:.3f}"
+        ci = "-" if row["ratio_ci95"] is None else "[{:.3f}, {:.3f}]".format(*row["ratio_ci95"])
         print(f"{name:<22} {b['q1']:>9.4g} {b['median']:>9.4g} {b['q3']:>9.4g}  "
               f"{c['q1']:>9.4g} {c['median']:>9.4g} {c['q3']:>9.4g}  "
-              f"{ratio:>7} {row['wins']:>2}/{row['pairs']:<3}  {row['verdict']}")
+              f"{ratio:>7} {row['wins']:>2}/{row['pairs']:<3}  {row['verdict']:<10}  {ci}")
 
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     out = OUT_DIR / f"{args.workload}.json"

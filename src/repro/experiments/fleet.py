@@ -36,7 +36,7 @@ from typing import Callable
 
 from ..cellular import HandoverConfig, QuotaPolicy, RadioProfile
 from ..core import DataPlan
-from ..netsim.faults import FAULT_PROFILES
+from ..netsim.faults import FAULT_PROFILES, FaultSchedule
 from ..obs import MetricsSnapshot
 from ..workloads import iperf_profile
 from .parallel import (
@@ -265,12 +265,15 @@ def ue_spec_to_dict(ue: UeSpec) -> dict:
     }
 
 
-def ue_spec_from_dict(data: dict) -> UeSpec:
+def ue_spec_from_dict(
+    data: dict,
+    decode_faults: Callable[[dict], FaultSchedule] = FaultSchedule.from_dict,
+) -> UeSpec:
     return UeSpec(
         index=int(data["index"]),
         archetype=data["archetype"],
         seed=int(data["seed"]),
-        config=config_from_dict(data["config"]),
+        config=config_from_dict(data["config"], decode_faults),
     )
 
 
@@ -283,10 +286,29 @@ def shard_to_dict(shard: FleetShard) -> dict:
 
 
 def shard_from_dict(data: dict) -> FleetShard:
+    """Inverse of :func:`shard_to_dict`.
+
+    Each distinct fault schedule is decoded once: UEs whose schedules
+    encode alike share one frozen :class:`FaultSchedule`, as the UEs of a
+    shard built by :func:`build_shards` share their profile's.
+    """
+    decoded: list[tuple[dict, FaultSchedule]] = []
+
+    def decode_faults(encoded: dict) -> FaultSchedule:
+        # Compared with the decoded schedule's own encoding, not with the
+        # first UE's input: its names are strings and its numbers floats,
+        # so equality means this input decodes to exactly that schedule.
+        for canonical, schedule in decoded:
+            if encoded == canonical:
+                return schedule
+        schedule = FaultSchedule.from_dict(encoded)
+        decoded.append((schedule.to_dict(), schedule))
+        return schedule
+
     return FleetShard(
         index=int(data["index"]),
         seed=int(data["seed"]),
-        ues=tuple(ue_spec_from_dict(ue) for ue in data["ues"]),
+        ues=tuple(ue_spec_from_dict(ue, decode_faults) for ue in data["ues"]),
     )
 
 

@@ -36,6 +36,7 @@ import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..cellular.radio import RssSample
 from ..core.gap import SchemeOutcome
@@ -63,33 +64,49 @@ CODEC_VERSION = 5
 # ------------------------------------------------------------------ codec
 
 
+#: Dataclass field names in declaration order: the encoder's key order (a
+#: cache entry's bytes) and the decoder's filter.  Unknown keys are dropped
+#: on decode: an older binary reading a newer cache directory (a
+#: forward-version entry with extra config fields) must treat the entry as
+#: decodable-or-miss, never crash the sweep with a ``TypeError`` from
+#: ``ScenarioConfig(**...)``.
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+_WORKLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(WorkloadProfile))
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """JSON-safe dict for a :class:`ScenarioConfig` (enums → values)."""
-    encoded = dataclasses.asdict(config)
+    """JSON-safe dict for a :class:`ScenarioConfig` (enums → values).
+
+    Built from the fields directly: ``dataclasses.asdict`` would deep-copy
+    the fault schedule only for it to be replaced by its own encoding.
+    Every field but ``workload``, ``direction`` and ``faults`` is a scalar.
+    """
+    encoded = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    workload = {name: getattr(config.workload, name) for name in _WORKLOAD_FIELDS}
+    workload["transport"] = config.workload.transport.value
+    encoded["workload"] = workload
     encoded["direction"] = config.direction.value
-    encoded["workload"] = dict(encoded["workload"])
-    encoded["workload"]["transport"] = config.workload.transport.value
     encoded["faults"] = None if config.faults is None else config.faults.to_dict()
     return encoded
 
 
-#: Known dataclass fields, used to drop unknown keys on decode: an older
-#: binary reading a newer cache directory (a forward-version entry with
-#: extra config fields) must treat the entry as decodable-or-miss, never
-#: crash the sweep with a ``TypeError`` from ``ScenarioConfig(**...)``.
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ScenarioConfig))
-_WORKLOAD_FIELDS = frozenset(f.name for f in dataclasses.fields(WorkloadProfile))
+def config_from_dict(
+    data: dict,
+    decode_faults: Callable[[dict], FaultSchedule] = FaultSchedule.from_dict,
+) -> ScenarioConfig:
+    """Inverse of :func:`config_to_dict`; unknown keys are ignored.
 
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    """Inverse of :func:`config_to_dict`; unknown keys are ignored."""
-    decoded = {k: v for k, v in data.items() if k in _CONFIG_FIELDS}
-    workload = {k: v for k, v in data["workload"].items() if k in _WORKLOAD_FIELDS}
+    ``decode_faults`` decodes a non-null ``faults`` entry (the fleet codec
+    passes one that shares a schedule among a shard's UEs).
+    """
+    decoded = {k: data[k] for k in _CONFIG_FIELDS if k in data}
+    encoded_workload = data["workload"]
+    workload = {k: encoded_workload[k] for k in _WORKLOAD_FIELDS if k in encoded_workload}
     workload["transport"] = Transport(workload["transport"])
     decoded["workload"] = WorkloadProfile(**workload)
     decoded["direction"] = Direction(decoded["direction"])
     faults = decoded.get("faults")
-    decoded["faults"] = None if faults is None else FaultSchedule.from_dict(faults)
+    decoded["faults"] = None if faults is None else decode_faults(faults)
     return ScenarioConfig(**decoded)
 
 

@@ -5,8 +5,9 @@ network service:
 
 * **Ingestion** (:meth:`ReconciliationService.submit`) admits *claims*
   — plain dicts a vendor would POST — through a synchronous pipeline:
-  shape checks, duplicate-id rejection, a per-vendor token bucket, and
-  finally bounded-queue admission (a full queue maps to a
+  shape checks, duplicate-id rejection, the JSON check (encoding the
+  claim's journal record), a per-vendor token bucket, and finally
+  bounded-queue admission (a full queue maps to a
   ``backpressure`` rejection the caller can retry).
 * **Workers** (``config.workers`` coroutines on the sim runtime) drain
   the queue and settle each claim: shard claims are looked up in the
@@ -183,6 +184,16 @@ class _CountingCache:
             self.disk.put_data(key, data)
 
 
+def _parse_line(raw: bytes) -> tuple[str, dict]:
+    """One ledger line as its text and record; ``ValueError`` unless the
+    bytes are UTF-8 text holding one JSON object."""
+    line = raw.decode()
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    return line, record
+
+
 class SettlementLedger:
     """Durable write-ahead stream: settlement lines plus a recovery journal.
 
@@ -207,6 +218,9 @@ class SettlementLedger:
     def __init__(self, path: str | Path | None = None) -> None:
         self.lines: list[str] = []
         self.journal_lines: list[str] = []
+        #: Journal records parsed by :meth:`resume`, held until the
+        #: resumed service takes them for its replay.
+        self.resumed_records: list[dict] = []
         self.path = Path(path) if path is not None else None
         self._fh = self.path.open("w") if self.path is not None else None
         self._seq = 0
@@ -221,48 +235,55 @@ class SettlementLedger:
     def resume(cls, path: str | Path) -> "SettlementLedger":
         """Reopen a crashed run's ledger for appending.
 
-        Loads both record classes, drops a torn final line (the partial
-        write of the crash) by rewriting the file without it, and arms
-        replay-absorb mode: the resumed service re-emits the fold from
-        the journal, and :meth:`write` verifies the already-durable
-        prefix byte-for-byte before new lines start appending.
+        Reads the file as bytes and parses each line once: settlement
+        lines fill :attr:`lines`, journal lines :attr:`journal_lines`,
+        and their parsed records wait in :attr:`resumed_records` for
+        :meth:`ReconciliationService.resume` to replay.  A torn final
+        line (the partial write of the crash) is cut off the file in
+        place; a complete final record missing only its newline gets
+        one.  Replay-absorb mode is armed: the resumed service re-emits
+        the fold from the journal, and :meth:`write` verifies the
+        already-durable prefix byte-for-byte before new lines start
+        appending.
 
-        A corrupt line anywhere but the tail raises ``ValueError`` — a
-        crash can only tear the last write.
+        A line anywhere but the tail that is not a UTF-8 JSON object
+        raises ``ValueError`` naming its line number — a crash can only
+        tear the last write.
         """
         path = Path(path)
-        text = path.read_text() if path.exists() else ""
-        raw = text.split("\n")
-        tail = raw.pop() if raw else ""
-        kept: list[tuple[dict, str]] = []
-        for i, line in enumerate(raw, start=1):
+        data = path.read_bytes() if path.exists() else b""
+        chunks = data.split(b"\n")
+        tail = chunks.pop()
+        kept: list[tuple[str, dict]] = []
+        for number, chunk in enumerate(chunks, start=1):
             try:
-                kept.append((json.loads(line), line))
+                kept.append(_parse_line(chunk))
             except ValueError as exc:
+                shown = chunk[:80].decode(errors="replace")
                 raise ValueError(
-                    f"ledger {path} corrupt at line {i}: {line[:80]!r}"
+                    f"ledger {path} corrupt at line {number}: {shown!r}"
                 ) from exc
+        ledger = cls.__new__(cls)
+        ledger.path = path
+        ledger._fh = path.open("a")
         if tail:
             # A complete JSON object missing only its newline survived
             # the crash intact; anything else is the torn write.
             try:
-                kept.append((json.loads(tail), tail))
+                kept.append(_parse_line(tail))
             except ValueError:
-                pass
-        ledger = cls.__new__(cls)
-        ledger.path = path
-        ledger.lines = [line for rec, line in kept if "seq" in rec]
-        ledger.journal_lines = [line for rec, line in kept if "jseq" in rec]
+                ledger._fh.truncate(len(data) - len(tail))
+            else:
+                ledger._fh.write("\n")
+        ledger._fh.flush()
+        os.fsync(ledger._fh.fileno())
+        ledger.lines = [line for line, record in kept if "seq" in record]
+        ledger.journal_lines = [line for line, record in kept if "jseq" in record]
+        ledger.resumed_records = [record for _, record in kept if "jseq" in record]
         ledger._seq = 0
         ledger._jseq = len(ledger.journal_lines)
         ledger._replay_until = len(ledger.lines)
         ledger._closed = False
-        with path.open("w") as fh:
-            for _, line in kept:
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        ledger._fh = path.open("a")
         return ledger
 
     def journal_records(self) -> list[dict]:
@@ -294,13 +315,26 @@ class SettlementLedger:
         self.lines.append(line)
         self._append(line)
 
-    def journal(self, record: dict) -> None:
-        """Append one write-ahead journal record."""
-        if self._closed:
-            raise RuntimeError("settlement ledger is closed")
-        line = json.dumps(
+    def journal_line(self, record: dict) -> str:
+        """The line :meth:`journal` appends next for ``record``.
+
+        Raises ``TypeError`` or ``ValueError`` if the record has no
+        canonical JSON encoding (for example mixed ``int``/``str`` keys).
+        """
+        return json.dumps(
             {"jseq": self._jseq, **record}, sort_keys=True, separators=(",", ":")
         )
+
+    def journal(self, record: dict, line: str | None = None) -> None:
+        """Append one write-ahead journal record.
+
+        ``line``, if given, is :meth:`journal_line` of ``record`` computed
+        since the last append; it saves encoding the record twice.
+        """
+        if self._closed:
+            raise RuntimeError("settlement ledger is closed")
+        if line is None:
+            line = self.journal_line(record)
         self._jseq += 1
         self.journal_lines.append(line)
         self._append(line)
@@ -466,7 +500,8 @@ class ReconciliationService:
             vendor_keys=vendor_keys,
             metrics=metrics,
         )
-        service._replay_journal(ledger.journal_records())
+        records, ledger.resumed_records = ledger.resumed_records, []
+        service._replay_journal(records)
         return service
 
     def _replay_journal(self, records: list[dict]) -> None:
@@ -516,10 +551,12 @@ class ReconciliationService:
         """Admit one claim; synchronous, safe to call from loop callbacks.
 
         Pipeline order matters: shape checks and duplicate detection are
-        free, the token bucket spends only when the claim could actually
-        be enqueued, and a full queue surfaces as ``backpressure`` (the
-        token is forfeit — a retrying caller pays for the pressure it
-        adds).
+        free; the ``accepted`` journal record is encoded next, once (a
+        claim without a canonical JSON encoding is ``malformed``, and the
+        line is the one the journal appends); the token bucket spends
+        only when the claim could actually be enqueued, and a full queue
+        surfaces as ``backpressure`` (the token is forfeit — a retrying
+        caller pays for the pressure it adds).
         """
         if self._closed:
             return self._reject("closed")
@@ -535,11 +572,19 @@ class ReconciliationService:
             return self._reject("unknown-kind")
         if claim_id in self._accepted_ids:
             return self._reject("duplicate")
+        record = {
+            "type": "accepted",
+            "id": claim_id,
+            "vendor": vendor,
+            "kind": claim["kind"],
+            "t": self.loop.now(),
+            "claim": claim,
+        }
         try:
-            json.dumps(claim)
+            line = self.ledger.journal_line(record)
         except (TypeError, ValueError):
-            # The write-ahead journal is JSON lines; a claim that cannot
-            # ride it cannot be made crash-safe, so it is not admitted.
+            # The write-ahead journal is canonical JSON lines; a claim that
+            # cannot ride it cannot be made crash-safe, so it is not admitted.
             return self._reject("malformed")
         if not self._bucket(vendor).try_acquire(self.loop.now()):
             return self._reject("rate-limited")
@@ -549,16 +594,7 @@ class ReconciliationService:
         # inside put_nowait, and its outcome record must follow this one.
         self._accepted_ids.add(claim_id)
         self._ingest_t[claim_id] = self.loop.now()
-        self.ledger.journal(
-            {
-                "type": "accepted",
-                "id": claim_id,
-                "vendor": vendor,
-                "kind": claim["kind"],
-                "t": self.loop.now(),
-                "claim": claim,
-            }
-        )
+        self.ledger.journal(record, line)
         self.metrics.counter("service.ingested", vendor=vendor).inc()
         self.queue.put_nowait(claim)
         self.metrics.gauge("service.queue.depth").set(self.queue.qsize())

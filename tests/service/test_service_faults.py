@@ -140,6 +140,24 @@ class TestMalformedClaims:
         assert service.submit(claim).accepted
         assert service.submit(dict(claim)).reason == "duplicate"
 
+    def test_claim_without_canonical_json_is_malformed_and_leaves_no_state(self):
+        # json.dumps accepts mixed int/str keys; the journal's sorted-key
+        # encoding does not, so such a claim cannot be made crash-safe.
+        service = ReconciliationService(
+            loop=EventLoop(), config=ServiceConfig(vendor_burst=1.0)
+        )
+        service.start()
+        bad = {"id": "c1", "vendor": "v", "kind": "probe", "extra": {1: "a", "b": 2}}
+        assert service.submit(bad).reason == "malformed"
+        assert service.ledger.journal_lines == []
+        assert service.queue.qsize() == 0
+        # No id was taken and no token spent: the one-token bucket still
+        # admits a clean resubmission under the same id.
+        clean = {"id": "c1", "vendor": "v", "kind": "probe"}
+        assert service.submit(clean).accepted
+        service.loop.run()
+        assert service.is_settled("c1")
+
     def test_poisoned_shard_payload_does_not_kill_worker(self, service):
         admission = service.submit(
             {"id": "bad", "vendor": "v0", "kind": "shard", "shard": {"index": "x"}}

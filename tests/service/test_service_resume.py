@@ -168,6 +168,45 @@ class TestLedgerResumeParsing:
         with pytest.raises(ValueError, match="line 2"):
             SettlementLedger.resume(path)
 
+    def test_non_utf8_middle_line_reported_by_line_number(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b'{"seq": 0}\n{"jseq": 0, "id": "\xff"}\n{"seq": 1}\n')
+        with pytest.raises(ValueError, match="corrupt at line 2"):
+            SettlementLedger.resume(path)
+
+    def test_non_utf8_torn_tail_is_dropped(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b'{"seq": 0}\n{"jseq": 0, "id": "\xff')
+        resumed = SettlementLedger.resume(path)
+        assert resumed.lines == ['{"seq": 0}']
+        assert resumed.journal_lines == []
+        assert path.read_bytes() == b'{"seq": 0}\n'
+
+    def test_torn_tail_leaves_the_intact_prefix_on_disk(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        prefix = b'{"seq": 0}\n{"jseq": 0, "type": "accepted"}\n'
+        path.write_bytes(prefix + b'{"jseq": 1, "ty')
+        SettlementLedger.resume(path)
+        assert path.read_bytes() == prefix
+
+    def test_complete_tail_without_newline_gets_one(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b'{"seq": 0}\n{"jseq": 0, "type": "accepted"}')
+        resumed = SettlementLedger.resume(path)
+        assert resumed.journal_lines == ['{"jseq": 0, "type": "accepted"}']
+        assert path.read_bytes() == b'{"seq": 0}\n{"jseq": 0, "type": "accepted"}\n'
+
+    def test_clean_file_is_unchanged(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = SettlementLedger(path)
+        ledger.write({"type": "shard", "index": 0})
+        ledger.journal({"type": "accepted", "id": "a"})
+        ledger.close()
+        before = path.read_bytes()
+        resumed = SettlementLedger.resume(path)
+        assert path.read_bytes() == before
+        assert resumed.resumed_records == [{"jseq": 0, "type": "accepted", "id": "a"}]
+
     def test_missing_file_resumes_empty(self, tmp_path):
         resumed = SettlementLedger.resume(tmp_path / "never-written.jsonl")
         assert resumed.lines == []

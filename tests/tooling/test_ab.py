@@ -118,3 +118,21 @@ def test_ratio_summary_rejects_unpaired_or_zero_samples():
         ab.ratio_summary([], [])
     with pytest.raises(ValueError):
         ab.ratio_summary([0.0], [1.0])
+
+
+def test_bootstrap_interval_of_identical_sides_is_one():
+    row = ab.summarize(BASE, list(BASE), "higher", 0.24)
+    assert row["ratio_ci95"] == [1.0, 1.0]
+
+
+def test_bootstrap_interval_is_seeded_and_brackets_the_median():
+    ratios = [1.3, 1.5, 1.4, 1.2, 1.6, 1.45, 1.35, 1.25, 1.55, 1.4]
+    change = [b * r for b, r in zip(BASE, ratios)]
+    first = ab.summarize(BASE, change, "higher", 0.24)["ratio_ci95"]
+    assert ab.summarize(BASE, change, "higher", 0.24)["ratio_ci95"] == first
+    low, high = first
+    assert 1.2 <= low <= 1.4 <= high <= 1.6
+
+
+def test_bootstrap_interval_needs_ratios():
+    assert ab.summarize([0.0], [0.0], "lower", 0.2)["ratio_ci95"] is None
