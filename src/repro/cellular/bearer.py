@@ -81,9 +81,5 @@ class BearerTable:
         """All bearers of one subscriber."""
         return list(self._by_imsi.get(str(imsi), []))
 
-    def all(self) -> list[Bearer]:
-        """Every registered bearer."""
-        return list(self._by_flow.values())
-
     def __len__(self) -> int:
         return len(self._by_flow)

@@ -128,19 +128,6 @@ class Ofcs:
         counter = bearer.uplink if direction is Direction.UPLINK else bearer.downlink
         return counter.bytes_between(t1, t2)
 
-    def usage_by_flow(self, t1: float, t2: float, direction: Direction) -> dict[str, int]:
-        """One cycle's per-flow volumes across *every* bearer.
-
-        The fleet accounting path: one pass over the bearer table instead
-        of a per-flow query loop, in the table's (insertion) order so the
-        result is deterministic.
-        """
-        counters = {}
-        for bearer in self.bearers.all():
-            counter = bearer.uplink if direction is Direction.UPLINK else bearer.downlink
-            counters[bearer.flow_id] = counter.bytes_between(t1, t2)
-        return counters
-
     # ---------------------------------------------------------------- CDRs
 
     def close_cycle(self, flow_id: str, t_end: float | None = None) -> CdrRecord:

@@ -181,9 +181,10 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
     # collect() phase) and schedules matching neither point keep the lane
     # static — the reference draws no fault RNG for them either.  Armed
     # counter resets ride in via ``absorbed``.
-    fault_view = None
-    if fault_injector is not None:
-        fault_view = fault_injector.lane_view(("uplink", "downlink"))
+    has_path_faults = fault_injector is not None and (
+        fault_injector.decider("uplink") is not None
+        or fault_injector.decider("downlink") is not None
+    )
 
     # Outage, RSS, quota, handover and path-fault sessions are dynamic
     # lanes: their path state can change between two hops, so the lane
@@ -196,7 +197,7 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         or has_quota
         or handover is not None
         or bool(absorbed)
-        or (fault_view is not None and fault_view.any_path_faults)
+        or has_path_faults
     )
 
     lane = LaneSpec(
@@ -231,7 +232,7 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         attach_delay_s=enodeb.config.attach_delay_s,
         span_recorder=session.span_recorder,
         absorbed=absorbed,
-        fault_view=fault_view,
+        fault_injector=fault_injector,
     )
     return lane, None
 

@@ -97,12 +97,13 @@ send, so per-chunk RRC activity and air submission exist once.
 
 Fault schedules replay path-kind decisions (burst-loss / reorder /
 duplicate / corrupt / blackout) at the lane's uplink/downlink injection
-points through the injector's own ``decide_at`` — same "faults" RNG
-stream, same draw order, same trace records — via a precomputed
-:class:`~repro.netsim.faults.LaneFaultView`; counter resets are absorbed
-loop events replayed on the wheel; clock skew/drift never touches the
-lane (both engines apply ``skew_at`` in the shared ``collect()`` phase),
-so clock-only schedules keep a lane static.
+points through the injector's own cached
+:meth:`~repro.netsim.faults.FaultInjector.decider` closures — the ones
+the session's reference pipes hold, so the same "faults" RNG stream,
+draw order and trace records; counter resets are absorbed loop events
+replayed on the wheel; clock skew/drift never touches the lane (both
+engines apply ``skew_at`` in the shared ``collect()`` phase), so
+clock-only schedules keep a lane static.
 
 What NO lane supports — app-level ``on_receive`` hooks, frame rates
 above the tie-safety bound — is refused by the eligibility check in
@@ -260,11 +261,11 @@ class LaneSpec:
     #: pushes) and cancelled on flush so the caller's settle run cannot
     #: double-fire them.
     absorbed: tuple = ()
-    #: :class:`~repro.netsim.faults.LaneFaultView` when the session has an
-    #: active fault injector; None otherwise.  Path-kind decisions replay
-    #: through it at the uplink/downlink injection points, counter resets
-    #: through :meth:`~repro.netsim.faults.LaneFaultView.apply_reset`.
-    fault_view: object = None
+    #: The session's :class:`~repro.netsim.faults.FaultInjector`, or None.
+    #: Path-kind decisions replay through its uplink/downlink deciders,
+    #: counter resets through
+    #: :meth:`~repro.netsim.faults.FaultInjector.apply_reset`.
+    fault_injector: object = None
 
 
 def _cut(size: int, packet_bytes: int, created: float, first_seq: int) -> list:
@@ -450,9 +451,9 @@ class _Lane:
         # Fault-schedule deciders: ``decide(t) -> (action, delay)`` per
         # injection point, or None when the schedule can never touch that
         # point (the reference draws no RNG there either).
-        fv = spec.fault_view
-        self.fault_ul = fv.decider("uplink") if fv is not None else None
-        self.fault_dl = fv.decider("downlink") if fv is not None else None
+        injector = spec.fault_injector
+        self.fault_ul = injector.decider("uplink") if injector is not None else None
+        self.fault_dl = injector.decider("downlink") if injector is not None else None
 
         # radio.outage span mirror: closed (open_t, close_t) pairs plus
         # the currently-open outage, if any (scenario runs only).
@@ -1188,7 +1189,7 @@ class _Lane:
         # fresh mirror.
         modem, point = event.args
         self.mod_cum.flush_into(modem.ul_sent if self.spec.is_uplink else modem.dl_received)
-        self.spec.fault_view.apply_reset(modem, te, point)
+        self.spec.fault_injector.apply_reset(modem, te, point)
         self.mod_cum = _Cum()
 
     def _on_dl_deliver(self, te: float, size: int) -> None:

@@ -16,8 +16,10 @@ reproduces exactly from ``(config, seed)``:
 * :class:`FaultInjector` — attaches a schedule to live components through
   one uniform hook family (``pipe`` for packet paths, ``pipe_frames`` for
   the PoC netdriver's byte frames, ``pipe_call`` for transport-segment
-  callables, ``attach_link`` / ``attach_modem`` for in-place wrapping),
-  drawing every probabilistic decision from a single named
+  callables, ``attach_link`` / ``attach_modem`` for in-place wrapping).
+  Every fate comes from one per-point ``decider``, shared by those hooks,
+  the batched kernel's lanes and the service's replay client, drawing
+  every probabilistic decision from a single named
   :class:`~repro.netsim.rng.StreamRegistry` stream;
 * :class:`FaultTrace` — a replayable JSON-lines log of every fault the
   injector actually fired, so two runs can be compared bit-for-bit.
@@ -321,6 +323,8 @@ class FaultInjector:
         #: Loop events armed by :meth:`attach_modem`; the batched-kernel
         #: adapter absorbs these into lane-owned wheel events by identity.
         self._reset_events: list = []
+        #: point -> its :meth:`decider` (None: no path spec reaches it).
+        self._deciders: dict[str, Callable[[float], tuple[str | None, float]] | None] = {}
 
     # ------------------------------------------------------------ internals
 
@@ -329,10 +333,6 @@ class FaultInjector:
         self.trace.record(t, kind, point, detail)
         if self._metrics is not None:
             self._metrics.counter("netsim.faults.fired", kind=kind).inc()
-
-    def _decide(self, point: str) -> tuple[str | None, float]:
-        """One fate decision for a unit of traffic at ``point``, now."""
-        return self.decide_at(point, self.loop.now())
 
     def decide_at(
         self,
@@ -346,10 +346,10 @@ class FaultInjector:
         ``"drop"`` (with the kind recorded), ``"delay"`` or ``"dup"``.
         Window kinds (blackout, crash) dominate; probabilistic kinds are
         then consulted in a fixed order so the RNG draw sequence is
-        stable.  ``specs`` may carry a pre-filtered active-spec list (the
-        batched kernel's lane view precomputes the fnmatch walk); it must
-        equal ``schedule.active_specs(_PATH_KINDS, point, t)`` or the RNG
-        consumption order diverges from the reference engine.
+        stable.  ``specs`` may carry a pre-filtered active-spec list
+        (:meth:`decider` precomputes the fnmatch walk); it must equal
+        ``schedule.active_specs(_PATH_KINDS, point, t)`` or the RNG
+        consumption order changes.
         """
         if specs is None:
             specs = self.schedule.active_specs(_PATH_KINDS, point, t)
@@ -376,7 +376,83 @@ class FaultInjector:
                     return "dup", delay
         return None, 0.0
 
+    def decider(self, point: str) -> Callable[[float], tuple[str | None, float]] | None:
+        """``decide(t) -> (action, delay)`` for ``point``, or None.
+
+        The one interpreter of the schedule's path specs: the pipes, the
+        batched kernel's lanes and the service's replay client all take
+        their fates from it.  None means the schedule can never touch
+        traffic at this point, so the caller may skip the hook entirely
+        (a decision there would draw no RNG and record nothing).
+
+        Windows are static, so the active-spec set is piecewise
+        constant in time: precompute it per boundary segment and bisect
+        per decision rather than filtering every spec per unit of
+        traffic (a canned profile carries dozens of periodic windows).
+        Segment lists keep schedule order, so the RNG consumption order
+        is exactly :meth:`FaultSchedule.active_specs`'s.  Built once per
+        point and cached, so a session's pipe and its lane share one
+        closure.
+        """
+        if point in self._deciders:
+            return self._deciders[point]
+        matched = tuple(
+            s for s in self.schedule.specs
+            if s.kind in _PATH_KINDS and s.matches(point)
+        )
+        decide = None
+        if matched:
+            bounds = {0.0}
+            for s in matched:
+                bounds.add(s.start)
+                if s.duration is not None:
+                    bounds.add(s.start + s.duration)
+            starts = sorted(bounds)
+            # active(t) is constant on [starts[i], starts[i+1]) — windows
+            # are start-inclusive/end-exclusive, so sampling the segment's
+            # left edge classifies the whole segment.
+            segments = [[s for s in matched if s.active(t0)] for t0 in starts]
+            decide_at = self.decide_at
+            empty = (None, 0.0)
+
+            def decide(t: float) -> tuple[str | None, float]:
+                active = segments[bisect_right(starts, t) - 1]
+                if not active:
+                    return empty  # no RNG draw, no record
+                return decide_at(point, t, specs=active)
+
+        self._deciders[point] = decide
+        return decide
+
     # ----------------------------------------------------- uniform hooks
+
+    def _wrap(
+        self,
+        point: str,
+        downstream: Callable[..., None],
+        on_drop: Callable[..., None] | None = None,
+    ) -> Callable[..., None]:
+        """``downstream`` behind ``point``'s decider; ``on_drop(kind, *args)``
+        sees each dropped unit.  Unwrapped when no path spec reaches it."""
+        decide = self.decider(point)
+        if decide is None:
+            return downstream
+        loop = self.loop
+
+        def receive(*args) -> None:
+            action, delay = decide(loop.now())
+            if action is None:
+                downstream(*args)
+            elif action.startswith("drop:"):
+                if on_drop is not None:
+                    on_drop(action.split(":", 1)[1], *args)
+            elif action == "delay":
+                loop.schedule(delay, downstream, *args)
+            else:  # dup: the original goes now, the copy after `delay`
+                downstream(*args)
+                loop.schedule(delay, downstream, *args)
+
+        return receive
 
     def pipe(self, point: str, downstream: Callable[[Packet], None]) -> Callable[[Packet], None]:
         """Wrap a packet receiver: the uniform packet-path injection hook.
@@ -384,20 +460,9 @@ class FaultInjector:
         Dropped packets are marked with a ``fault-<kind>`` layer so the
         §3.1 loss-taxonomy accounting attributes them correctly.
         """
-
-        def receive(packet: Packet) -> None:
-            action, delay = self._decide(point)
-            if action is None:
-                downstream(packet)
-            elif action.startswith("drop:"):
-                packet.mark_dropped("fault-" + action.split(":", 1)[1])
-            elif action == "delay":
-                self.loop.schedule(delay, downstream, packet)
-            else:  # dup: the original goes now, the copy after `delay`
-                downstream(packet)
-                self.loop.schedule(delay, downstream, packet)
-
-        return receive
+        return self._wrap(
+            point, downstream, lambda kind, packet: packet.mark_dropped("fault-" + kind)
+        )
 
     def pipe_frames(self, point: str, downstream: Callable[[bytes], None]) -> Callable[[bytes], None]:
         """Wrap a byte-frame receiver (the PoC netdriver's ARQ endpoints).
@@ -408,20 +473,7 @@ class FaultInjector:
         here too — a frame whose signature cannot verify is equivalent to
         a lost frame for the protocol, minus wasted crypto time.
         """
-
-        def receive(frame: bytes) -> None:
-            action, delay = self._decide(point)
-            if action is None:
-                downstream(frame)
-            elif action.startswith("drop:"):
-                return
-            elif action == "delay":
-                self.loop.schedule(delay, downstream, frame)
-            else:
-                downstream(frame)
-                self.loop.schedule(delay, downstream, frame)
-
-        return receive
+        return self._wrap(point, downstream)
 
     def pipe_call(self, point: str, fn: Callable[..., None]) -> Callable[..., None]:
         """Wrap an arbitrary positional-args callable (transport segments).
@@ -429,20 +481,7 @@ class FaultInjector:
         Used to splice faults between :class:`TcpLikeSender.transmit` and
         the wire, or any other ``(size, seq, ...)``-style hop.
         """
-
-        def call(*args) -> None:
-            action, delay = self._decide(point)
-            if action is None:
-                fn(*args)
-            elif action.startswith("drop:"):
-                return
-            elif action == "delay":
-                self.loop.schedule(delay, fn, *args)
-            else:
-                fn(*args)
-                self.loop.schedule(delay, fn, *args)
-
-        return call
+        return self._wrap(point, fn)
 
     # ------------------------------------------------- component adapters
 
@@ -485,10 +524,6 @@ class FaultInjector:
         modem.ul_sent = CumulativeCounter()
         modem.dl_received = CumulativeCounter()
 
-    def lane_view(self, points: tuple[str, ...] = ("uplink", "downlink")) -> "LaneFaultView":
-        """A precomputed per-point decision view for the batched kernel."""
-        return LaneFaultView(self, points)
-
     def attach_negotiation(
         self,
         negotiation,
@@ -516,87 +551,6 @@ class FaultInjector:
             ]
             self._record(t, kinds[0], point, f"skew {skew:+.6f}s")
         return skew
-
-
-# --------------------------------------------------------------- lane view
-
-
-class LaneFaultView:
-    """Precomputed per-point fault decisions for the batched kernel.
-
-    The lane executor cannot afford the injector's per-packet fnmatch
-    walk, and it must not re-derive the decision logic (any drift is a
-    parity bug).  This view pins, per injection point, the schedule's
-    matching path-kind specs once — time-independent — and hands the
-    lane a ``decide(t)`` closure that filters by window and then calls
-    straight into :meth:`FaultInjector.decide_at`, so the "faults" RNG
-    stream, the trace and the metrics counters are all consumed/updated
-    exactly as the reference engine would.
-    """
-
-    def __init__(self, injector: FaultInjector, points: tuple[str, ...]) -> None:
-        self.injector = injector
-        self._path_specs: dict[str, tuple[FaultSpec, ...]] = {
-            point: tuple(
-                s for s in injector.schedule.specs
-                if s.kind in _PATH_KINDS and s.matches(point)
-            )
-            for point in points
-        }
-
-    def has_path_faults(self, point: str) -> bool:
-        """Whether any path-kind spec can ever fire at ``point``."""
-        return bool(self._path_specs.get(point, ()))
-
-    @property
-    def any_path_faults(self) -> bool:
-        """Whether any lane injection point sees path-kind specs."""
-        return any(self._path_specs.values())
-
-    def decider(self, point: str):
-        """``decide(t) -> (action, delay)`` for ``point``, or None.
-
-        None means the schedule can never touch traffic at this point,
-        so the lane may skip the hook entirely (matching the reference
-        engine, which draws no RNG and records nothing when
-        ``active_specs`` comes back empty).
-
-        Windows are static, so the active-spec set is piecewise
-        constant in time: precompute it per boundary segment and bisect
-        per decision rather than filtering every spec per packet (a
-        canned profile carries dozens of periodic windows).  Segment
-        lists keep schedule order, so the RNG consumption order is
-        exactly :meth:`FaultSchedule.active_specs`'s.
-        """
-        matched = self._path_specs.get(point, ())
-        if not matched:
-            return None
-        injector = self.injector
-
-        bounds = {0.0}
-        for s in matched:
-            bounds.add(s.start)
-            if s.duration is not None:
-                bounds.add(s.start + s.duration)
-        starts = sorted(bounds)
-        # active(t) is constant on [starts[i], starts[i+1]) — windows
-        # are start-inclusive/end-exclusive, so sampling the segment's
-        # left edge classifies the whole segment.
-        segments = [[s for s in matched if s.active(t0)] for t0 in starts]
-        decide_at = injector.decide_at
-        empty = (None, 0.0)
-
-        def decide(t: float) -> tuple[str | None, float]:
-            active = segments[bisect_right(starts, t) - 1]
-            if not active:
-                return empty  # reference draws no RNG, records nothing
-            return decide_at(point, t, specs=active)
-
-        return decide
-
-    def apply_reset(self, modem, t: float, point: str = "modem") -> None:
-        """Replay one absorbed counter-reset event at lane time ``t``."""
-        self.injector.apply_reset(modem, t, point)
 
 
 # ---------------------------------------------------------------- profiles

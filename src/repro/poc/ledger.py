@@ -18,7 +18,12 @@ from pathlib import Path
 from ..core.plan import DataPlan
 from ..crypto.rsa import PublicKey
 from .messages import MessageError, PlanParams, Poc
-from .verifier import PublicVerifier, VerificationFailure, VerificationReport
+from .verifier import (
+    CYCLE_TOLERANCE_S,
+    PublicVerifier,
+    VerificationFailure,
+    VerificationReport,
+)
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class PocLedger:
                     f"{previous.t_end} (cycles must be consecutive)"
                 )
         expected_duration = self.plan.cycle_duration_s
-        if abs((params.t_end - params.t_start) - expected_duration) > 1e-6:
+        if abs((params.t_end - params.t_start) - expected_duration) > CYCLE_TOLERANCE_S:
             raise ValueError(
                 f"cycle {index} has duration {params.t_end - params.t_start}, "
                 f"plan says {expected_duration}"

@@ -5,7 +5,8 @@ MVNO) receives ``(PoC, T, c, K⁺_e, K⁺_o)`` and checks, without ever
 seeing the data transfer:
 
 1. both signatures in the chain verify under the advertised public keys;
-2. the data plan ``(T, c)`` bound into every layer matches the agreement;
+2. the expected plan is the verifier's own ``(T, c)``, and every layer
+   of the chain carries it;
 3. the nonce trailer matches the chain and the sequence numbers cohere
    (replay defence) — and a stateful verifier additionally refuses to
    accept the same nonce pair twice;
@@ -21,6 +22,10 @@ from dataclasses import dataclass
 from ..core.plan import DataPlan
 from ..crypto.rsa import PublicKey
 from .messages import Cda, Cdr, PlanParams, Poc, Role
+
+#: How far a cycle's ``t_end - t_start`` may stray from the plan's cycle
+#: length (float sums of cycle starts accumulate rounding error).
+CYCLE_TOLERANCE_S = 1e-6
 
 
 class VerificationFailure(enum.Enum):
@@ -100,7 +105,13 @@ class PublicVerifier:
         if not cdr.verify(keys[cdr.role]):
             return VerificationReport(False, VerificationFailure.BAD_CDR_SIGNATURE)
 
-        # (2) Data-plan consistency through every layer.
+        # (2) Data-plan consistency: the caller's expected plan must be
+        # this verifier's (T, c) — step (4) charges with it — and every
+        # layer must carry it.
+        if expected_plan.c != self.plan.c or abs(
+            (expected_plan.t_end - expected_plan.t_start) - self.plan.cycle_duration_s
+        ) > CYCLE_TOLERANCE_S:
+            return VerificationReport(False, VerificationFailure.PLAN_MISMATCH)
         for plan in (poc.plan, cda.plan, cdr.plan):
             if plan != expected_plan:
                 return VerificationReport(False, VerificationFailure.PLAN_MISMATCH)

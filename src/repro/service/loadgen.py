@@ -3,25 +3,32 @@
 :func:`replay_fleet` takes the same :class:`~repro.experiments.fleet.FleetConfig`
 the batch engine runs in one shot and replays it as sustained claim
 traffic: every shard becomes one logical *shard claim*, submitted by a
-simulated vendor client that spreads arrivals over ``duration_s``,
-retries synchronous rejections (rate limiting, backpressure) with a
-deterministic backoff, and — after the loop drains — resubmits any claim
-the workers rejected (*recovery waves*) until the fleet is fully
-settled or the wave budget runs out.
+simulated vendor client in passes.  Pass 0 spreads the claims over
+``duration_s``.  Within a pass, a submission the client sees fail at
+once — lost in ingestion, or rejected at the door (rate limiting,
+backpressure) — is resubmitted after a gap that grows by
+:data:`RESUBMIT_GAP_S` per attempt, at most :data:`MAX_ATTEMPTS` times,
+which waits out a blackout or an overload without holding a claim back
+until the pass ends.  After each pass the service drains, and every
+claim still unsettled — rejected by a worker, or out of attempts — is
+resubmitted in the next pass, :data:`RESUBMIT_GAP_S` apart, for at most
+:data:`MAX_WAVES` passes.
 
 :func:`resume_fleet_replay` is the crash-recovery twin: it rebuilds the
 service from a killed run's on-disk ledger journal
 (:meth:`~repro.service.service.ReconciliationService.resume`), drains
-whatever the journal re-enqueued, then drives the same recovery waves
-until the fleet settles.  The resulting settlement view and aggregate
-are byte-identical to an uninterrupted run's.
+whatever the journal re-enqueued, then runs the same resubmission
+passes until the fleet settles.  The resulting settlement view and
+aggregate are byte-identical to an uninterrupted run's.
 
 An optional :class:`~repro.netsim.faults.FaultSchedule` degrades the
-ingestion path itself: specs targeting the ``uplink`` injection point
-drop (``burst-loss``/``blackout``), mangle (``corrupt``) or duplicate
-(``duplicate``) submissions, with every probabilistic decision drawn
-from one named stream of ``StreamRegistry(fleet.seed)`` — so a chaotic
-replay reproduces exactly from the fleet seed.
+ingestion path itself: a :class:`~repro.netsim.faults.FaultInjector`'s
+decider for the ``uplink`` injection point gives each submission its
+fate.  A ``corrupt`` drop submits a mangled payload, any other drop
+loses the submission, ``dup`` submits a copy after the drawn delay and
+``delay`` submits late.  The injector draws from a stream forked off
+``StreamRegistry(fleet.seed)``, so a chaotic replay reproduces exactly
+from the fleet seed.
 
 The differential contract: when every claim settles, the returned
 :class:`~repro.experiments.fleet.FleetResult` is bit-identical to
@@ -43,13 +50,7 @@ from ..experiments.fleet import (
 )
 from ..experiments.parallel import ResultCache
 from ..netsim.events import EventLoop
-from ..netsim.faults import (
-    BLACKOUT,
-    BURST_LOSS,
-    CORRUPT,
-    DUPLICATE,
-    FaultSchedule,
-)
+from ..netsim.faults import FaultInjector, FaultSchedule
 from ..netsim.rng import StreamRegistry
 from ..obs.metrics import MetricsRegistry
 from .service import ReconciliationService, ServiceConfig, SettlementLedger
@@ -59,22 +60,24 @@ from .service import ReconciliationService, ServiceConfig, SettlementLedger
 #: "*link*" traffic) hit the service's front door unmodified.
 INGEST_POINT = "uplink"
 
-_INGEST_KINDS = (BURST_LOSS, BLACKOUT, CORRUPT, DUPLICATE)
+#: Virtual seconds between two submissions of a later pass, and the
+#: step by which the gap before an in-pass resubmission grows.
+RESUBMIT_GAP_S = 0.25
 
-#: Admission rejections worth retrying from the client side; everything
-#: else is a terminal verdict on this submission.
-_RETRYABLE = frozenset({"rate-limited", "backpressure"})
+#: In-pass resubmissions of one claim (spanning 19.5 virtual s) before
+#: it waits for the next pass.
+MAX_ATTEMPTS = 12
+
+#: Resubmission passes after pass 0 before the client gives up.
+MAX_WAVES = 8
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Client-side knobs for one fleet replay."""
+    """Client-side settings for one fleet replay."""
 
     duration_s: float = 60.0
     vendors: int = 4
-    retry_backoff_s: float = 0.25
-    max_attempts: int = 12
-    max_waves: int = 8
     ingest_faults: FaultSchedule | None = None
 
     def __post_init__(self) -> None:
@@ -82,23 +85,19 @@ class ReplayConfig:
             raise ValueError(f"replay duration must be positive, got {self.duration_s}")
         if self.vendors < 1:
             raise ValueError(f"need at least one vendor, got {self.vendors}")
-        for name in ("retry_backoff_s", "max_attempts", "max_waves"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
 class ReplayStats:
     """What the load generator observed (client-side view)."""
 
-    submitted: int = 0       # physical submissions that reached the wire
+    submitted: int = 0       # physical submissions, fault-minted copies included
     accepted: int = 0        # admissions the service said yes to
-    retries: int = 0         # client-side resubmissions after sync rejection
+    retries: int = 0         # submissions of a claim after its first
     lost: int = 0            # submissions the ingest faults swallowed
     corrupted: int = 0       # submissions mangled in flight
     duplicated: int = 0      # extra copies the ingest faults minted
-    waves: int = 0           # recovery waves that were needed
+    waves: int = 0           # resubmission passes that were needed
     dropped: int = 0         # logical claims never settled (should be 0)
     rejected: dict[str, int] = field(default_factory=dict)
 
@@ -107,7 +106,7 @@ class ReplayStats:
 
 
 class _ReplayDriver:
-    """The vendor-client machinery shared by fresh and resumed replays."""
+    """The vendor client shared by fresh and resumed replays."""
 
     def __init__(
         self,
@@ -119,16 +118,18 @@ class _ReplayDriver:
     ) -> None:
         self.service = service
         self.loop = service.loop
-        self.replay = replay
         self.stats = stats
         # A resumed client must not reuse physical ids the dead run may
         # already have burned; the salt keeps id streams disjoint.
         self.id_salt = id_salt
-        registry = StreamRegistry(fleet.seed).fork("service-replay")
-        self.fault_rng = registry.stream("ingest-faults")
-        faults = replay.ingest_faults
-        self.faults = None if (faults is None or faults.is_empty) else faults
-        # ref -> pristine claim payload (retries always restart from
+        self.decide = None
+        if replay.ingest_faults is not None:
+            self.decide = FaultInjector(
+                self.loop,
+                StreamRegistry(fleet.seed).fork("service-replay"),
+                replay.ingest_faults,
+            ).decider(INGEST_POINT)
+        # ref -> pristine claim payload (every resubmission restarts from
         # this, so a corruption fault never sticks past one submission).
         self.payloads: dict[str, dict] = {}
         self.refs: list[str] = []
@@ -154,86 +155,64 @@ class _ReplayDriver:
         bad["shard"] = {"index": claim["shard"]["index"], "seed": "corrupt"}
         return bad
 
-    def deliver(self, ref: str, attempt: int) -> None:
-        """One physical submission attempt for the logical claim ``ref``."""
-        service, stats, replay, loop = self.service, self.stats, self.replay, self.loop
-        if service.is_settled(ref):
+    def submit(self, ref: str, attempt: int = 0) -> None:
+        """Submission ``attempt`` of the logical claim ``ref`` in this pass."""
+        stats, loop = self.stats, self.loop
+        if self.service.is_settled(ref):
             return
-        if attempt > replay.max_attempts:
-            return  # give up this wave; a recovery wave may pick it up
+        if attempt:
+            stats.retries += 1
         claim = dict(self.payloads[ref])
         claim["id"] = self.fresh_id(ref)
         stats.submitted += 1
-        if self.faults is not None:
-            now = loop.now()
-            for spec in self.faults.active_specs(_INGEST_KINDS, INGEST_POINT, now):
-                if spec.kind in (BURST_LOSS, BLACKOUT):
-                    p = spec.magnitude if spec.kind == BURST_LOSS else 1.0
-                    if self.fault_rng.random() < p:
-                        stats.lost += 1
-                        # Same guard as the _RETRYABLE admission path: a
-                        # retry past max_attempts would be dropped by the
-                        # top-of-deliver check, so scheduling it (and
-                        # counting it) would overstate stats.retries.
-                        if attempt < replay.max_attempts:
-                            stats.retries += 1
-                            loop.schedule(
-                                replay.retry_backoff_s * (attempt + 1),
-                                self.deliver, ref, attempt + 1,
-                            )
-                        return
-                elif spec.kind == CORRUPT:
-                    if self.fault_rng.random() < spec.magnitude:
-                        stats.corrupted += 1
-                        claim = self.mangle(claim)
-                elif spec.kind == DUPLICATE:
-                    if self.fault_rng.random() < spec.magnitude:
-                        stats.duplicated += 1
-                        copy = dict(claim)
-                        copy["id"] = claim["id"] + "+dup"
-                        loop.schedule(
-                            max(spec.jitter_s, 0.0), self.submit_copy, copy
-                        )
-        admission = service.submit(claim)
-        if admission.accepted:
-            stats.accepted += 1
+        action, delay = (None, 0.0) if self.decide is None else self.decide(loop.now())
+        if action == "drop:corrupt":
+            stats.corrupted += 1
+            claim = self.mangle(claim)
+        elif action == "dup":
+            # A fault-minted copy is fire-and-forget: the original's
+            # resubmissions own recovery for this ref.
+            stats.duplicated += 1
+            stats.submitted += 1
+            loop.schedule(delay, self.send, dict(claim, id=claim["id"] + "+dup"))
+        elif action == "delay":
+            loop.schedule(delay, self.send, claim, ref, attempt)
             return
-        stats.note_rejected(admission.reason)
-        if admission.reason in _RETRYABLE and attempt < replay.max_attempts:
-            stats.retries += 1
-            loop.schedule(
-                replay.retry_backoff_s * (attempt + 1), self.deliver, ref, attempt + 1
-            )
+        elif action is not None:
+            stats.lost += 1
+            self.resubmit(ref, attempt)
+            return
+        self.send(claim, ref, attempt)
 
-    def submit_copy(self, claim: dict) -> None:
-        # Fault-minted duplicates are fire-and-forget: the original's
-        # retry machinery owns recovery for this ref.
-        self.stats.submitted += 1
+    def send(self, claim: dict, ref: str | None = None, attempt: int = 0) -> None:
         admission = self.service.submit(claim)
         if admission.accepted:
             self.stats.accepted += 1
-        else:
-            self.stats.note_rejected(admission.reason)
+            return
+        self.stats.note_rejected(admission.reason)
+        if ref is not None:
+            self.resubmit(ref, attempt)
 
-    def spread_initial(self) -> None:
-        spacing = self.replay.duration_s / len(self.refs) if self.refs else 0.0
-        for i, ref in enumerate(self.refs):
-            self.loop.schedule(i * spacing, self.deliver, ref, 0)
+    def resubmit(self, ref: str, attempt: int) -> None:
+        """Try ``ref`` again later in this pass, while attempts remain."""
+        if attempt < MAX_ATTEMPTS:
+            self.loop.schedule(
+                RESUBMIT_GAP_S * (attempt + 1), self.submit, ref, attempt + 1
+            )
 
-    def run_recovery_waves(self) -> None:
-        # Anything a worker rejected (corrupted payload, duplicate
-        # race, ...) gets resubmitted from the pristine payload.
-        for _ in range(self.replay.max_waves):
-            unsettled = [
-                ref for ref in self.refs if not self.service.is_settled(ref)
-            ]
-            if not unsettled:
-                break
-            self.stats.waves += 1
-            for j, ref in enumerate(unsettled):
-                self.loop.schedule(
-                    j * self.replay.retry_backoff_s, self.deliver, ref, 0
-                )
+    def run(self, refs: list[str], gap_s: float) -> None:
+        """Pass 0 submits ``refs`` ``gap_s`` apart; each later pass, after
+        the service drains, resubmits every claim still unsettled."""
+        for wave in range(MAX_WAVES + 1):
+            if wave:
+                refs = [ref for ref in self.refs if not self.service.is_settled(ref)]
+                if not refs:
+                    break
+                self.stats.waves += 1
+                self.stats.retries += len(refs)
+                gap_s = RESUBMIT_GAP_S
+            for i, ref in enumerate(refs):
+                self.loop.schedule(i * gap_s, self.submit, ref)
             self.service.drain()
 
     def finish(self, fleet: FleetConfig) -> FleetResult | None:
@@ -260,8 +239,9 @@ def replay_fleet(
 ) -> tuple[FleetResult | None, ReplayStats, ReconciliationService]:
     """Replay ``fleet`` as claim traffic; returns (result, stats, service).
 
-    ``result`` is None only if some claim never settled within the wave
-    budget — ``stats.dropped`` then says how many.
+    ``result`` is None only if some claim never settled within
+    :data:`MAX_WAVES` resubmission passes — ``stats.dropped`` then says
+    how many.
     """
     replay = replay if replay is not None else ReplayConfig()
     service = ReconciliationService(
@@ -273,9 +253,7 @@ def replay_fleet(
     )
     service.start()
     driver = _ReplayDriver(service, fleet, replay, ReplayStats())
-    driver.spread_initial()
-    service.drain()
-    driver.run_recovery_waves()
+    driver.run(driver.refs, replay.duration_s / len(driver.refs))
     result = driver.finish(fleet)
     return result, driver.stats, service
 
@@ -291,7 +269,7 @@ def resume_fleet_replay(
     """Resume a killed replay of ``fleet`` from its on-disk ledger.
 
     The journal rebuild settles whatever was accepted but unfinished;
-    recovery waves then resubmit any logical claim still open.  When
+    resubmission passes then resubmit any logical claim still open.  When
     everything settles, the final ledger file, settlement view and
     aggregate are byte-identical to an uninterrupted ``replay_fleet``
     run against the same configuration.
@@ -311,7 +289,6 @@ def resume_fleet_replay(
     # of a resume — and never collides with ids the journal recorded.
     salt = f"r{len(service._accepted_ids)}."
     driver = _ReplayDriver(service, fleet, replay, stats, id_salt=salt)
-    service.drain()  # settle whatever the journal re-enqueued
-    driver.run_recovery_waves()
+    driver.run([], 0.0)  # pass 0 settles whatever the journal re-enqueued
     result = driver.finish(fleet)
     return result, stats, service

@@ -80,3 +80,30 @@ class TestVerifyCommand:
         ])
         assert code == 1
         assert "ledger rejected" in capsys.readouterr().err
+
+    def test_ledger_under_another_c_fails_plan_check(self, tmp_path, capsys):
+        # Receipts negotiated under c = 0.3 verify as a chain, but the
+        # auditor's plan says c = 0.5: the plan check names the cause
+        # before the volume replay can.
+        rng = random.Random(84)
+        edge_key = generate_keypair(512, rng)
+        operator_key = generate_keypair(512, rng)
+        plan = DataPlan(c=0.3, cycle_duration_s=60.0)
+        ledger = PocLedger(plan)
+        driver = NegotiationDriver(
+            plan, 0.0,
+            OptimalStrategy(PartyKnowledge(PartyRole.EDGE, 1_000_000, 900_000)),
+            OptimalStrategy(PartyKnowledge(PartyRole.OPERATOR, 900_000, 1_000_000)),
+            edge_key, operator_key, rng,
+        )
+        ledger.append(driver.run().poc)
+        code = main([
+            "verify", str(ledger.save(tmp_path / "receipts.jsonl")),
+            "--edge-key", str(save_public_key(edge_key.public, tmp_path / "e.pub")),
+            "--operator-key", str(save_public_key(operator_key.public, tmp_path / "o.pub")),
+            "--cycle-seconds", "60",
+            "--c", "0.5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "cycle 0: inconsistent-data-plan" in out

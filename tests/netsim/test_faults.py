@@ -359,9 +359,9 @@ class TestWindowBoundaries:
     """End-exclusive window semantics, pinned at the exact edges.
 
     Every consumer of a fault window — ``FaultSpec.active``,
-    ``FaultSchedule.active_specs``/``skew_at``, the injector's decision
-    path, and the batched kernel's :class:`LaneFaultView` deciders —
-    must agree that ``[start, start + duration)`` is half-open.  A
+    ``FaultSchedule.active_specs``/``skew_at``, ``decide_at``, and the
+    injector's cached ``decider`` closures that pipes and kernel lanes
+    share — must agree that ``[start, start + duration)`` is half-open.  A
     single off-by-one here is a parity landmine between the reference
     engine and the lane replay.
     """
@@ -427,8 +427,13 @@ class TestWindowBoundaries:
     def test_lane_view_decider_matches_injector_at_edges(self):
         loop = EventLoop()
         inj = injector(loop, [FaultSpec("blackout", target="uplink", **self.WINDOW)])
-        decide = inj.lane_view(("uplink",)).decider("uplink")
+        decide = inj.decider("uplink")
         before = inj._rng.getstate()
         assert decide(5.0) == ("drop:blackout", 0.0)
         assert decide(7.0) == (None, 0.0)
         assert inj._rng.getstate() == before
+        # A point no spec matches has no decider, and its pipe is the
+        # downstream callable itself.
+        assert inj.decider("downlink") is None
+        downstream = [].append
+        assert inj.pipe("downlink", downstream) is downstream

@@ -2,7 +2,7 @@
 
 Graceful degradation contract: whatever arrives at the front door, no
 worker dies — bad input becomes a ``service.rejected{reason=...}``
-counter — and once the retry machinery settles every claim, the ledger
+counter — and once the resubmit loop settles every claim, the ledger
 is the same ledger a fault-free run writes.
 """
 
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.crypto import generate_keypair
-from repro.experiments.fleet import FleetConfig
+from repro.experiments.fleet import FleetConfig, build_shards, run_fleet
 from repro.netsim.events import EventLoop
 from repro.netsim.faults import (
     BLACKOUT,
@@ -32,6 +32,7 @@ from repro.service import (
     make_poc_claim,
     replay_fleet,
 )
+from repro.service.loadgen import MAX_ATTEMPTS, MAX_WAVES
 
 FLEET = FleetConfig(ues=16, shard_size=2, seed=3, n_cycles=2, cycle_duration_s=10.0)
 
@@ -90,10 +91,7 @@ class TestChaosIngestion:
 
 
 class TestRetryAccounting:
-    """The loss branch used to schedule (and count) a retry for the
-    final attempt even though the top-of-``deliver`` guard makes it a
-    guaranteed no-op — overstating ``stats.retries`` by one per claim
-    per wave versus the ``_RETRYABLE`` admission path's guard."""
+    """Every submission is counted once, every resubmission once more."""
 
     def test_lost_claims_count_only_real_resubmissions(self):
         fleet = FleetConfig(
@@ -103,20 +101,84 @@ class TestRetryAccounting:
             name="dead-link",
             specs=(FaultSpec(BLACKOUT, start=0.0, target="uplink"),),
         )
-        replay = ReplayConfig(
-            duration_s=1.0, max_attempts=3, max_waves=2, ingest_faults=dead_link
-        )
+        replay = ReplayConfig(duration_s=1.0, ingest_faults=dead_link)
         result, stats, service = replay_fleet(fleet, replay)
-        waves = 1 + replay.max_waves  # initial pass + every recovery wave
         assert result is None
         assert stats.dropped == 1  # the single shard never settles
-        assert stats.waves == replay.max_waves
-        # Every wave walks attempts 0..max_attempts inclusive; only
-        # attempts 1..max_attempts are real resubmissions.
-        assert stats.submitted == (replay.max_attempts + 1) * waves
-        assert stats.lost == stats.submitted
-        assert stats.retries == replay.max_attempts * waves
+        # Pass 0 and each of MAX_WAVES passes make one submission plus
+        # MAX_ATTEMPTS resubmissions, all swallowed by the dead link.
+        assert stats.submitted == stats.lost == (1 + MAX_ATTEMPTS) * (1 + MAX_WAVES)
+        assert stats.waves == MAX_WAVES
+        assert stats.retries == stats.submitted - 1
         assert service.crashed_workers() == []
+
+
+def _uplink_blackout(duration: float) -> FaultSchedule:
+    return FaultSchedule(
+        name="uplink-blackout",
+        specs=(FaultSpec(BLACKOUT, start=0.0, duration=duration, target="uplink"),),
+    )
+
+
+class TestUplinkBlackout:
+    """A finite blackout at the front door is waited out, not dropped."""
+
+    FLEET = FleetConfig(ues=2, shard_size=2, seed=3, n_cycles=1, cycle_duration_s=5.0)
+
+    def test_blackout_is_waited_out_within_the_pass(self):
+        replay = ReplayConfig(duration_s=1.0, ingest_faults=_uplink_blackout(1.5))
+        result, stats, _ = replay_fleet(self.FLEET, replay)
+        # Lost at 0, 0.25 and 0.75 virtual s; admitted at 1.5 s.
+        assert stats.lost == 3 and stats.waves == 0 and stats.dropped == 0
+        assert result.to_dict() == run_fleet(self.FLEET).to_dict()
+
+    def test_blackout_longer_than_a_pass_is_waited_out_by_the_next(self):
+        replay = ReplayConfig(duration_s=1.0, ingest_faults=_uplink_blackout(25.0))
+        result, stats, _ = replay_fleet(self.FLEET, replay)
+        assert stats.lost > 1 + MAX_ATTEMPTS  # pass 0 ran out of attempts
+        assert stats.waves == 1 and stats.dropped == 0
+        assert result.to_dict() == run_fleet(self.FLEET).to_dict()
+
+    def test_lost_claim_settles_before_later_claims_arrive(self):
+        # Shards arrive 15 s apart; shard 0 is lost at t=0.  Resubmitted
+        # within the pass, it is admitted before shard 1 arrives, so the
+        # in-order fold never buffers the fleet behind it.
+        fleet = FleetConfig(ues=8, shard_size=2, seed=3, n_cycles=1, cycle_duration_s=5.0)
+        replay = ReplayConfig(duration_s=60.0, ingest_faults=_uplink_blackout(1.5))
+        result, stats, service = replay_fleet(fleet, replay)
+        assert result is not None and stats.lost == 3
+        admitted = {
+            record["claim"]["ref"]: record["t"]
+            for record in map(json.loads, service.ledger.journal_lines)
+            if record["type"] == "accepted"
+        }
+        assert admitted["shard-0"] == 1.5 < admitted["shard-1"]
+
+
+class TestOverloadedFrontDoor:
+    """Claims the front door turns away are resubmitted until they settle."""
+
+    FLEET = FleetConfig(ues=32, shard_size=1, seed=9, n_cycles=1, cycle_duration_s=2.0)
+
+    @pytest.mark.parametrize(
+        "vendors, reason",
+        [
+            (4, "backpressure"),  # 32 claims in 0.25 s overrun a 16-deep queue
+            (1, "rate-limited"),  # ...and one vendor's 16-token bucket
+        ],
+    )
+    def test_rejected_claims_settle_on_resubmission(self, vendors, reason):
+        hurried = ReplayConfig(duration_s=0.25, vendors=vendors)
+        result, stats, service = replay_fleet(self.FLEET, hurried)
+        assert stats.rejected.get(reason, 0) > 0
+        assert result is not None and stats.dropped == 0
+        assert stats.retries > 0
+        assert stats.retries == stats.submitted - len(build_shards(self.FLEET))
+        assert service.crashed_workers() == []
+        calm = ReplayConfig(duration_s=120.0, vendors=vendors)
+        _, calm_stats, calm_service = replay_fleet(self.FLEET, calm)
+        assert calm_stats.retries == calm_stats.waves == 0
+        assert service.ledger.text() == calm_service.ledger.text()
 
 
 class TestMalformedClaims:
@@ -188,10 +250,10 @@ class TestPocClaims:
             generate_keypair(512, random.Random(102)),
         )
 
-    def negotiate(self, keys, seed=11):
+    def negotiate(self, keys, seed=11, plan=PLAN):
         edge_key, operator_key = keys
         driver = NegotiationDriver(
-            self.PLAN, 0.0,
+            plan, 0.0,
             OptimalStrategy(PartyKnowledge(PartyRole.EDGE, self.X_E, self.X_O)),
             OptimalStrategy(PartyKnowledge(PartyRole.OPERATOR, self.X_O, self.X_E)),
             edge_key, operator_key, random.Random(seed),
@@ -250,6 +312,25 @@ class TestPocClaims:
         service.loop.run()
         service.close()
         assert service.rejections.get("unknown-vendor") == 1
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            DataPlan(c=0.5, cycle_duration_s=1800.0),  # another cycle length
+            DataPlan(c=0.3, cycle_duration_s=3600.0),  # another lost-data weight
+        ],
+    )
+    def test_receipt_under_another_plan_rejected(self, keys, plan):
+        # The claim's plan matches the receipt's own chain, but not the
+        # (T, c) the service verifies and charges with.
+        service = self.fresh_service(keys)
+        poc = self.negotiate(keys, plan=plan)
+        params = PlanParams(0.0, plan.cycle_duration_s, plan.c)
+        service.submit(make_poc_claim("poc-1", "v0", poc, params))
+        service.loop.run()
+        service.close()
+        assert service.rejections == {"poc-inconsistent-data-plan": 1}
+        assert service.settled_count() == 0
 
     def test_undecodable_poc_rejected(self, keys):
         service = self.fresh_service(keys)

@@ -10,8 +10,8 @@ Each class here pins a bug that used to be latent:
   memory and disk diverged;
 * ``ServiceConfig`` accepted zero/negative vendor rates, bursts and
   service times, deferring the blow-up to deep inside a worker;
-  ``ReplayConfig`` accepted negative retry and recovery knobs, which
-  dropped claims, skipped recovery or failed mid-replay;
+  ``ReplayConfig`` must reject a non-positive duration or no vendors
+  before a replay starts;
 * ``submit()`` handed a claim to an idle worker before journalling its
   admission, so a synchronous rejection wrote ``unclaimed`` ahead of
   ``accepted`` and left a stale ingest timestamp behind.
@@ -126,17 +126,14 @@ class TestReplayConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_attempts": -1},
-            {"retry_backoff_s": -0.5},
-            {"max_waves": -3},
+            {"duration_s": 0.0},
+            {"duration_s": -1.0},
+            {"vendors": 0},
         ],
     )
     def test_invalid_config_rejected_up_front(self, kwargs):
         with pytest.raises(ValueError):
             ReplayConfig(**kwargs)
-
-    def test_zero_retry_knobs_are_legal(self):
-        ReplayConfig(max_attempts=0, retry_backoff_s=0.0, max_waves=0)
 
 
 class TestAdmissionJournalOrder:
