@@ -81,6 +81,14 @@ class UeContext:
         # handover can unhook them when the UE moves (see ENodeB.evict).
         self.outage_callbacks: tuple | None = None
 
+    def close(self) -> None:
+        """Drop the callbacks and timer events that refer back to the UE,
+        its cell or its device (see :meth:`CellularNetwork.close`)."""
+        self.radio.close()
+        self.deliver = None
+        self.rlf_timer = None
+        self.outage_callbacks = None
+
 
 class ENodeB:
     """A single cell serving one or more UEs."""
@@ -166,6 +174,11 @@ class ENodeB:
             ue.radio.on_outage_end.remove(on_end)
             ue.outage_callbacks = None
         return ue
+
+    def close(self) -> None:
+        """Unwire the served UEs once the run is over."""
+        for ue in self._ues.values():
+            ue.close()
 
     def ue(self, imsi: str) -> UeContext:
         """Look up a registered UE."""

@@ -106,6 +106,11 @@ class Spgw:
         """Route uplink packets of ``flow_id`` to an edge-server sink."""
         self._uplink_sinks[flow_id] = sink
 
+    def close(self) -> None:
+        """Drop the uplink sinks, bound methods of servers that hold the
+        network this gateway belongs to."""
+        self._uplink_sinks.clear()
+
     # ------------------------------------------------------------- helpers
 
     def _bearer_for(self, packet: Packet) -> Bearer | None:

@@ -166,6 +166,22 @@ class CellularNetwork:
             metrics=metrics,
         )
 
+    def close(self) -> None:
+        """Unwire the network once its run is over.
+
+        Components keep references to their neighbours and stored
+        callbacks to their owners, so a finished simulation's graph is
+        full of cycles.  Dropping those links here lets reference
+        counting free the graph as soon as its last user lets go.  Close
+        the loop too (:meth:`EventLoop.close`): its queued events hold
+        callbacks into this graph.  The network is unusable afterwards.
+        """
+        self._accesses.clear()
+        for enodeb in self.enodebs:
+            enodeb.close()
+        self.spgw.close()
+        self.middlebox.forward = None
+
     # --------------------------------------------------------- subscribers
 
     def attach_device(

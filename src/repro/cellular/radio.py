@@ -104,6 +104,11 @@ class RadioChannel:
         self.rss_history: list[RssSample] = []
         self._started = False
 
+    def close(self) -> None:
+        """Drop the outage callbacks, which refer back to their owners."""
+        self.on_outage_start.clear()
+        self.on_outage_end.clear()
+
     def start(self) -> None:
         """Begin the outage process and RSS sampling."""
         if self._started:

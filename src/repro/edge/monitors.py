@@ -22,6 +22,8 @@ ground truth ``x̂`` and hands the latter to the negotiating parties.
 
 from __future__ import annotations
 
+import math
+
 from ..netsim.counters import CumulativeCounter
 from ..netsim.events import EventLoop
 from ..netsim.packet import Packet
@@ -108,29 +110,69 @@ class CounterCheckMonitor:
     def ingest(self, reports) -> None:
         """Ingest ``(t, uplink_bytes, downlink_bytes)`` reports in order.
 
-        Equivalent to one :meth:`on_report` per report; the batched kernel
-        hands over a whole lane's checks at once.
+        Equivalent to one :meth:`on_report` per report, each adding its
+        two deltas with :meth:`CumulativeCounter.add`; the batched kernel
+        hands over a whole lane's checks at once.  Both series are built
+        in one pass straight onto the counters' point lists (as the
+        kernel's flush installs a lane's modem counters), under ``add``'s
+        rules: reports at one timestamp merge into one point, and a report
+        earlier than the last one raises.
         """
-        for t, ul, dl in reports:
-            dl_delta = dl - self._last_dl
-            ul_delta = ul - self._last_ul
-            if dl_delta < 0 or ul_delta < 0:
-                # Modem counter reset (detach/reattach, reboot): everything
-                # counted since the restart is the new absolute value.
-                self.resets_observed += 1
-                if dl_delta < 0:
-                    dl_delta = dl
-                if ul_delta < 0:
-                    ul_delta = ul
-            # The report carries its own emission time (the base station
-            # stamps it when serving the check), which on the live loop is
-            # the ingestion time too; using it keeps the monitor replayable
-            # from recorded responses (and by the batched kernel's flush).
-            self._dl_reports.add(t, dl_delta)
-            self._ul_reports.add(t, ul_delta)
-            self._last_dl = dl
-            self._last_ul = ul
-            self.reports_received += 1
+        dl_series = self._dl_reports
+        ul_series = self._ul_reports
+        # The series take every report at the same time, so their time
+        # lists stay equal and the last time is either's.
+        dl_times, dl_cums = dl_series._times, dl_series._cums
+        ul_times, ul_cums = ul_series._times, ul_series._cums
+        last_t = dl_times[-1] if dl_times else -math.inf
+        dl_total = dl_series._total
+        ul_total = ul_series._total
+        last_dl = self._last_dl
+        last_ul = self._last_ul
+        received = resets = 0
+        try:
+            for t, ul, dl in reports:
+                dl_delta = dl - last_dl
+                ul_delta = ul - last_ul
+                if dl_delta < 0 or ul_delta < 0:
+                    # Modem counter reset (detach/reattach, reboot):
+                    # everything counted since the restart is the new
+                    # absolute value.
+                    resets += 1
+                    if dl_delta < 0:
+                        dl_delta = dl
+                    if ul_delta < 0:
+                        ul_delta = ul
+                    if dl_delta < 0 or ul_delta < 0:
+                        raise ValueError(f"cannot count negative bytes: {min(dl, ul)}")
+                # The report carries its own emission time (the base
+                # station stamps it when serving the check), which on the
+                # live loop is the ingestion time too; using it keeps the
+                # monitor replayable from recorded responses (and by the
+                # batched kernel's flush).
+                if t < last_t:
+                    raise ValueError(f"counter time went backwards: {t} < {last_t}")
+                dl_total += dl_delta
+                ul_total += ul_delta
+                if t == last_t:
+                    dl_cums[-1] = dl_total
+                    ul_cums[-1] = ul_total
+                else:
+                    dl_times.append(t)
+                    dl_cums.append(dl_total)
+                    ul_times.append(t)
+                    ul_cums.append(ul_total)
+                    last_t = t
+                last_dl = dl
+                last_ul = ul
+                received += 1
+        finally:
+            dl_series._total = dl_total
+            ul_series._total = ul_total
+            self._last_dl = last_dl
+            self._last_ul = last_ul
+            self.reports_received += received
+            self.resets_observed += resets
 
     @property
     def total(self) -> int:

@@ -26,7 +26,6 @@ scaling its memory:
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
@@ -361,13 +360,7 @@ def _simulate_shard_to_dict(shard_data: dict) -> dict:
     """Pool worker: decode the shard spec, simulate, encode the result."""
     from .fleet_runner import simulate_shard
 
-    data = shard_result_to_dict(simulate_shard(shard_from_dict(shard_data)))
-    # A finished shard's simulator graph is cyclic (network wiring, loop
-    # events), so only the cyclic collector frees it.  Collecting the young
-    # generations now, while most of it is still young, keeps dead graphs
-    # from piling up between the interpreter's rare full collections.
-    gc.collect(1)
-    return data
+    return shard_result_to_dict(simulate_shard(shard_from_dict(shard_data)))
 
 
 # ------------------------------------------------------------- aggregation

@@ -262,6 +262,14 @@ class UeSession:
             injector.attach_modem(access.modem, point="modem")
             self.fault_injector = injector
 
+    def close(self) -> None:
+        """Undo the session's own wiring once the run is over: the uplink
+        pipe wraps a bound method of the access it sits on, and the
+        injector's deciders and armed resets refer back to it."""
+        if self.fault_injector is not None:
+            del self.access.send_uplink
+            self.fault_injector.close()
+
     def _radio_profile(self) -> RadioProfile:
         config = self.config
         if config.outage_eta is not None:
@@ -491,6 +499,19 @@ class FleetShardRunner:
         self.metrics.gauge("cellular.ofcs.bearers").set(len(self.network.bearers))
         self.metrics.gauge("fleet.shard.ues").set(len(self.sessions))
 
+    def close(self) -> None:
+        """Tear the shard's simulation down once its result is built.
+
+        Breaks every reference cycle the shard's graph holds, so that
+        reference counting frees it as soon as the runner is dropped.
+        The runner's state stays readable; it cannot run again.
+        """
+        for session in self.sessions:
+            session.close()
+        self.network.close()
+        self.network.loop.close()
+        self.metrics.close()
+
     def run(self) -> FleetShardResult:
         """Simulate, extract, evaluate and summarize every UE of the shard."""
         self.simulate()
@@ -556,5 +577,9 @@ class FleetShardRunner:
 
 
 def simulate_shard(shard) -> FleetShardResult:
-    """Convenience wrapper: build, run and return one shard."""
-    return FleetShardRunner(shard).run()
+    """Build, run and return one shard, then tear its simulation down."""
+    runner = FleetShardRunner(shard)
+    try:
+        return runner.run()
+    finally:
+        runner.close()

@@ -99,6 +99,10 @@ class ScenarioRunner(UeSession):
         super().__init__(
             network, config, network.rng, make_test_imsi(1), f"{config.workload.name}:ue1"
         )
+        # Only a scenario's result carries its fault trace; fleet sessions
+        # count the fired faults and record nothing.
+        if self.fault_injector is not None:
+            self.fault_injector.trace = FaultTrace()
         # Radio outages become spans on the simulated clock (event-driven
         # open/close; a snapshot taken mid-outage closes them virtually).
         # Registered after the network's own outage callbacks, the order

@@ -144,6 +144,20 @@ class EventLoop:
         self.clock.advance_to(max(t_end, self.clock.now()))
         return self._dispatched - dispatched_before
 
+    def close(self) -> None:
+        """Drop every queued event with its callback and arguments.
+
+        Queued callbacks are mostly bound methods of the components that
+        hold this loop, so a finished simulation's graph is cyclic until
+        they go; a component that still holds one of the events can
+        cancel it harmlessly.  Nothing may be scheduled afterwards.
+        """
+        for event in self._queue:
+            event.cancelled = True
+            event.callback = event.args = event.loop = None
+        self._queue = []
+        self._cancelled = 0
+
     def run(self) -> int:
         """Dispatch every remaining event; returns the number dispatched."""
         dispatched_before = self._dispatched

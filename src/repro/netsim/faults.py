@@ -22,7 +22,9 @@ reproduces exactly from ``(config, seed)``:
   every probabilistic decision from a single named
   :class:`~repro.netsim.rng.StreamRegistry` stream;
 * :class:`FaultTrace` — a replayable JSON-lines log of every fault the
-  injector actually fired, so two runs can be compared bit-for-bit.
+  injector actually fired, so two runs can be compared bit-for-bit
+  (kept by scenarios; a fleet shard's injector keeps none and only
+  counts ``netsim.faults.fired``).
 
 Fault kinds map onto the paper's loss taxonomy and error models — see
 ``docs/FAULTS.md`` for the full table.
@@ -316,23 +318,46 @@ class FaultInjector:
     ) -> None:
         self.loop = loop
         self.schedule = schedule
-        self.trace = trace if trace is not None else FaultTrace()
+        #: Where fired faults are logged; None records no events (fleet
+        #: shards, whose results carry only the ``netsim.faults.fired``
+        #: counters).
+        self.trace = trace
         registry = rng if rng is not None else StreamRegistry(0)
         self._rng = registry.stream("faults")
         self._metrics = metrics
+        #: kind -> its ``netsim.faults.fired`` counter, looked up on the
+        #: kind's first fire (the registry's key order stays first-fire order).
+        self._fired: dict = {}
         #: Loop events armed by :meth:`attach_modem`; the batched-kernel
         #: adapter absorbs these into lane-owned wheel events by identity.
         self._reset_events: list = []
         #: point -> its :meth:`decider` (None: no path spec reaches it).
         self._deciders: dict[str, Callable[[float], tuple[str | None, float]] | None] = {}
 
+    def close(self) -> None:
+        """Drop the deciders and armed events, which refer back to the
+        injector, so a finished run frees without the cyclic collector."""
+        self._deciders.clear()
+        self._reset_events.clear()
+
     # ------------------------------------------------------------ internals
 
-    def _record(self, t: float, kind: str, point: str, detail: str = "") -> None:
-        """Log one fired fault to the trace and the metrics registry."""
-        self.trace.record(t, kind, point, detail)
-        if self._metrics is not None:
-            self._metrics.counter("netsim.faults.fired", kind=kind).inc()
+    def _record(self, t: float, kind: str, point: str, detail: str, *args) -> None:
+        """Count one fired fault, and log it to the trace if there is one.
+
+        ``detail`` is a :meth:`str.format` template over ``args``, filled
+        only when a trace records it.
+        """
+        if self.trace is not None:
+            self.trace.record(t, kind, point, detail.format(*args))
+        fired = self._fired.get(kind)
+        if fired is None:
+            if self._metrics is None:
+                return
+            fired = self._fired[kind] = self._metrics.counter(
+                "netsim.faults.fired", kind=kind
+            )
+        fired.inc()
 
     def decide_at(
         self,
@@ -367,12 +392,12 @@ class FaultInjector:
             elif spec.kind == REORDER:
                 if self._rng.random() < spec.magnitude:
                     delay = self._rng.uniform(0.0, spec.jitter_s)
-                    self._record(t, spec.kind, point, f"held {delay:.6f}s")
+                    self._record(t, spec.kind, point, "held {:.6f}s", delay)
                     return "delay", delay
             elif spec.kind == DUPLICATE:
                 if self._rng.random() < spec.magnitude:
                     delay = self._rng.uniform(0.0, spec.jitter_s)
-                    self._record(t, spec.kind, point, f"copy +{delay:.6f}s")
+                    self._record(t, spec.kind, point, "copy +{:.6f}s", delay)
                     return "dup", delay
         return None, 0.0
 
@@ -549,7 +574,7 @@ class FaultInjector:
                 s.kind for s in self.schedule.specs
                 if s.kind in _CLOCK_KINDS and s.matches(point)
             ]
-            self._record(t, kinds[0], point, f"skew {skew:+.6f}s")
+            self._record(t, kinds[0], point, "skew {:+.6f}s", skew)
         return skew
 
 

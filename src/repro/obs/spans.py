@@ -81,6 +81,12 @@ class SpanRecorder:
         """All spans as dicts, in open order."""
         return [s.to_dict(close_open_at=close_open_at) for s in self._spans]
 
+    def close(self) -> None:
+        """Unlink every span from the recorder (a span holds its recorder,
+        so the pair is a cycle); an open span can no longer be closed."""
+        for span in self._spans:
+            span._recorder = None
+
 
 class _SpanContext:
     """``with recorder.span("name"):`` support."""

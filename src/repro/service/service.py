@@ -48,6 +48,7 @@ the *logical* claim so retries (new id, same ref) settle exactly once.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,7 +69,7 @@ from ..experiments.parallel import ResultCache, RunReport
 from ..netsim.events import EventLoop
 from ..obs.metrics import MetricsRegistry
 from ..poc.messages import PlanParams, Poc
-from ..poc.verifier import PublicVerifier
+from ..poc.verifier import CYCLE_TOLERANCE_S, PublicVerifier, VerificationFailure
 from .pool import SimProcessPool
 from .ratelimit import TokenBucket
 from .sim_async import SimQueue, SimRuntime
@@ -100,6 +101,16 @@ def make_poc_claim(
     if ref is not None:
         claim["ref"] = ref
     return claim
+
+
+def _on_cycle_grid(t_start: float, cycle_duration_s: float) -> bool:
+    """Whether ``t_start`` opens a cycle of the agreed grid: a whole
+    multiple of the cycle length from origin 0, within
+    :data:`~repro.poc.verifier.CYCLE_TOLERANCE_S`."""
+    if not math.isfinite(t_start):
+        return False
+    k = round(t_start / cycle_duration_s)
+    return k >= 0 and abs(t_start - k * cycle_duration_s) <= CYCLE_TOLERANCE_S
 
 
 @dataclass(frozen=True)
@@ -741,6 +752,9 @@ class ReconciliationService:
             self._unclaim(claim, ref, "malformed-poc")
             return
         await self.runtime.sleep(self.config.poc_service_time_s)
+        if not _on_cycle_grid(plan.t_start, self.config.cycle_duration_s):
+            self._unclaim(claim, ref, "poc-" + VerificationFailure.PLAN_MISMATCH.value)
+            return
         edge_key, operator_key = keys
         report = self.verifier.verify(poc, plan, edge_key, operator_key)
         if not report.ok:

@@ -1,9 +1,12 @@
 """Traffic monitors: skewed cycle boundaries and RRC-report assembly."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cellular.rrc import CounterCheckResponse
 from repro.edge.monitors import CounterCheckMonitor, TrafficMonitor, record_error_ratio
+from repro.netsim.counters import CumulativeCounter
 from repro.netsim.events import EventLoop
 from repro.netsim.packet import Direction, Packet
 
@@ -165,6 +168,55 @@ class TestCounterCheckMonitor:
         monitor = CounterCheckMonitor(EventLoop())
         with pytest.raises(ValueError, match="backwards"):
             monitor.ingest([(2.0, 0, 10), (1.0, 0, 20)])
+
+    def test_ingest_rejects_negative_counts(self):
+        monitor = CounterCheckMonitor(EventLoop())
+        with pytest.raises(ValueError, match="negative"):
+            monitor.ingest([(1.0, 0, -5)])
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.5, 1.25]),  # time step: ties are common
+                st.booleans(),  # modem reset before this report
+                st.integers(0, 5000),
+                st.integers(0, 5000),
+            ),
+            max_size=40,
+        ),
+        held=st.integers(0, 40),
+    )
+    def test_bulk_ingest_equals_per_report_adds(self, steps, held):
+        """The bulk path leaves exactly the series that re-baselining each
+        report and adding its deltas with ``CumulativeCounter.add`` builds,
+        also on a monitor that already holds the first ``held`` reports."""
+        reports, t, ul, dl = [], 0.0, 0, 0
+        for dt, reset, d_ul, d_dl in steps:
+            t += dt
+            ul, dl = (d_ul, d_dl) if reset else (ul + d_ul, dl + d_dl)
+            reports.append((t, ul, dl))
+
+        monitor = CounterCheckMonitor(EventLoop())
+        for t, ul, dl in reports[:held]:
+            monitor.on_report(CounterCheckResponse(t, ul, dl))
+        monitor.ingest(reports[held:])
+
+        ul_series, dl_series = CumulativeCounter(), CumulativeCounter()
+        last_ul = last_dl = resets = 0
+        for t, ul, dl in reports:
+            ul_delta, dl_delta = ul - last_ul, dl - last_dl
+            if ul_delta < 0 or dl_delta < 0:
+                resets += 1
+                ul_delta = ul if ul_delta < 0 else ul_delta
+                dl_delta = dl if dl_delta < 0 else dl_delta
+            ul_series.add(t, ul_delta)
+            dl_series.add(t, dl_delta)
+            last_ul, last_dl = ul, dl
+
+        assert (monitor.reports_received, monitor.resets_observed) == (len(reports), resets)
+        assert (monitor._last_ul, monitor._last_dl) == (last_ul, last_dl)
+        for got, want in ((monitor._ul_reports, ul_series), (monitor._dl_reports, dl_series)):
+            assert (got._times, got._cums, got.total) == (want._times, want._cums, want.total)
 
 
 class TestErrorRatio:

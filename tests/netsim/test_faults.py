@@ -26,7 +26,9 @@ def packet(size=1000, direction=Direction.DOWNLINK):
 
 
 def injector(loop, specs, seed=7):
-    return FaultInjector(loop, StreamRegistry(seed), FaultSchedule(specs=tuple(specs)))
+    return FaultInjector(
+        loop, StreamRegistry(seed), FaultSchedule(specs=tuple(specs)), FaultTrace()
+    )
 
 
 class TestFaultSpec:
@@ -437,3 +439,38 @@ class TestWindowBoundaries:
         assert inj.decider("downlink") is None
         downstream = [].append
         assert inj.pipe("downlink", downstream) is downstream
+
+
+class TestTracelessInjector:
+    def test_decides_and_counts_like_a_traced_one(self):
+        """A fleet session's injector keeps no trace; that must change no
+        fate, no RNG draw and no ``netsim.faults.fired`` counter."""
+        from repro.cellular.rrc import HardwareModem
+        from repro.obs import MetricsRegistry
+
+        def run(trace):
+            loop = EventLoop()
+            metrics = MetricsRegistry()
+            inj = FaultInjector(
+                loop, StreamRegistry(7), FAULT_PROFILES["chaos"], trace, metrics
+            )
+            fates = []
+            for i in range(4000):
+                t = i * 0.05
+                for point in ("uplink", "downlink"):
+                    fates.append(inj.decider(point)(t))
+                fates.append(inj.extra_skew("edge-clock", t))
+            inj.apply_reset(HardwareModem(loop), 95.0)
+            counters = list(metrics.snapshot().counters.items())
+            return fates, inj._rng.getstate(), counters, inj.trace
+
+        traced = run(FaultTrace())
+        traceless = run(None)
+        assert traceless[:3] == traced[:3]
+        # Every kind fired, and each counter counts its kind's events.
+        assert dict(traced[2]) == {
+            f"netsim.faults.fired{{kind={kind}}}": n
+            for kind, n in traced[3].counts().items()
+        }
+        assert len(traced[2]) == 6
+        assert traceless[3] is None

@@ -250,10 +250,10 @@ class TestPocClaims:
             generate_keypair(512, random.Random(102)),
         )
 
-    def negotiate(self, keys, seed=11, plan=PLAN):
+    def negotiate(self, keys, seed=11, plan=PLAN, cycle_start=0.0):
         edge_key, operator_key = keys
         driver = NegotiationDriver(
-            plan, 0.0,
+            plan, cycle_start,
             OptimalStrategy(PartyKnowledge(PartyRole.EDGE, self.X_E, self.X_O)),
             OptimalStrategy(PartyKnowledge(PartyRole.OPERATOR, self.X_O, self.X_E)),
             edge_key, operator_key, random.Random(seed),
@@ -331,6 +331,37 @@ class TestPocClaims:
         service.close()
         assert service.rejections == {"poc-inconsistent-data-plan": 1}
         assert service.settled_count() == 0
+
+    def test_receipt_for_an_off_grid_cycle_rejected(self, keys):
+        # A one-cycle-long window that straddles two agreed 3600-s cycles:
+        # the receipt's chain carries it consistently, the grid does not.
+        service = self.fresh_service(keys)
+        poc = self.negotiate(keys, cycle_start=1800.0)
+        params = PlanParams(1800.0, 5400.0, 0.5)
+        assert poc.plan == params
+        service.submit(make_poc_claim("poc-1", "v0", poc, params))
+        service.loop.run()
+        service.close()
+        assert service.rejections == {"poc-inconsistent-data-plan": 1}
+        assert service.settled_count() == 0
+
+    @pytest.mark.parametrize("t_start", [-3600.0, float("nan"), float("-inf")])
+    def test_claimed_cycle_off_the_grid_rejected(self, keys, t_start):
+        service = self.fresh_service(keys)
+        claim = make_poc_claim("poc-1", "v0", self.negotiate(keys), self.PARAMS)
+        claim["plan"]["t_start"] = t_start
+        service.submit(claim)
+        service.loop.run()
+        service.close()
+        assert service.rejections == {"poc-inconsistent-data-plan": 1}
+
+    def test_receipt_for_a_later_grid_cycle_settles(self, keys):
+        service = self.fresh_service(keys)
+        poc = self.negotiate(keys, cycle_start=7200.0)
+        service.submit(make_poc_claim("poc-1", "v0", poc, PlanParams(7200.0, 10800.0, 0.5)))
+        service.loop.run()
+        service.close()
+        assert service.is_settled("poc-1")
 
     def test_undecodable_poc_rejected(self, keys):
         service = self.fresh_service(keys)
