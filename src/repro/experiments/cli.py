@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--service-workers", type=int, default=2, metavar="N",
-        help="settlement worker coroutines (default: 2)",
+        help="settlements in flight at once (default: 2)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=16, metavar="N",

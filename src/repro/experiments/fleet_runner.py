@@ -441,6 +441,24 @@ def harvest_metrics(network: CellularNetwork, sessions: list[UeSession]) -> None
             m.gauge("edge.monitor.observed_bytes", point=point).add(monitor.total)
 
 
+def close_sessions(sessions: list[UeSession]) -> None:
+    """Tear down a finished simulation of UE sessions that share one network.
+
+    Closes the sessions' own wiring, the network's
+    (:meth:`~repro.cellular.CellularNetwork.close`), the loop's queued
+    events and the metrics spans.  That breaks every reference cycle the
+    graph holds, so reference counting frees it as soon as its last user
+    lets go.  Results already built stay valid; the sessions and the
+    network cannot run again.
+    """
+    network = sessions[0].network
+    for session in sessions:
+        session.close()
+    network.close()
+    network.loop.close()
+    network.metrics.close()
+
+
 class FleetShardRunner:
     """Owns one shard's simulation: N UEs, one network, one metrics registry."""
 
@@ -500,17 +518,10 @@ class FleetShardRunner:
         self.metrics.gauge("fleet.shard.ues").set(len(self.sessions))
 
     def close(self) -> None:
-        """Tear the shard's simulation down once its result is built.
-
-        Breaks every reference cycle the shard's graph holds, so that
-        reference counting frees it as soon as the runner is dropped.
-        The runner's state stays readable; it cannot run again.
-        """
-        for session in self.sessions:
-            session.close()
-        self.network.close()
-        self.network.loop.close()
-        self.metrics.close()
+        """Tear the shard's simulation down once its result is built
+        (:func:`close_sessions`).  The runner's state stays readable; it
+        cannot run again."""
+        close_sessions(self.sessions)
 
     def run(self) -> FleetShardResult:
         """Simulate, extract, evaluate and summarize every UE of the shard."""

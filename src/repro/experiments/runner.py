@@ -32,6 +32,7 @@ from .fleet_runner import (
     SCHEMES,
     UeSession,
     build_network,
+    close_sessions,
     evaluate_schemes,
     harvest_metrics,
     simulate_sessions,
@@ -158,5 +159,10 @@ class ScenarioRunner(UeSession):
 
 
 def run_scenario(config: ScenarioConfig, kernel: str | None = None) -> ScenarioResult:
-    """Convenience wrapper: build, run and return one scenario."""
-    return ScenarioRunner(config, kernel=kernel).run()
+    """Convenience wrapper: build, run and return one scenario, then tear
+    its simulation down (:func:`~.fleet_runner.close_sessions`)."""
+    runner = ScenarioRunner(config, kernel=kernel)
+    try:
+        return runner.run()
+    finally:
+        close_sessions([runner])

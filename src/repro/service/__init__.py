@@ -5,18 +5,16 @@ operator and the edge vendor; the batch sweeps in
 :mod:`repro.experiments` exercise the same physics one shot at a time.
 This package holds the long-running counterpart:
 
-* :mod:`repro.service.sim_async` — a deterministic coroutine runtime on
-  the simulated :class:`~repro.netsim.events.EventLoop` (futures, tasks,
-  bounded queues with backpressure);
 * :mod:`repro.service.ratelimit` — per-vendor token buckets refilled on
   the simulated clock;
-* :mod:`repro.service.pool` — a process-pool bridge that lets settle
-  workers await real CPU-parallel shard simulations as SimFutures;
+* :mod:`repro.service.pool` — a process pool that runs shard simulations
+  on real CPUs and hands their results back in submission order;
 * :mod:`repro.service.service` — the service itself: claim ingestion,
-  background settlement + PoC-verification workers over the batch
-  engine's content-addressed
-  :class:`~repro.experiments.parallel.ResultCache`, streaming JSON-lines
-  settlement output, all instrumented through :mod:`repro.obs`;
+  settlement + PoC verification as generators on the simulated
+  :class:`~repro.netsim.events.EventLoop`, over the batch engine's
+  content-addressed :class:`~repro.experiments.parallel.ResultCache`,
+  streaming JSON-lines settlement output, all instrumented through
+  :mod:`repro.obs`;
 * :mod:`repro.service.loadgen` — the fleet engine as a load generator:
   replay a :class:`~repro.experiments.fleet.FleetConfig` as sustained
   claim traffic and fold the service's answers back into a
@@ -40,22 +38,16 @@ from .service import (
     SettlementLedger,
     make_poc_claim,
 )
-from .sim_async import QueueFull, SimFuture, SimQueue, SimRuntime, SimTask
 
 __all__ = [
     "Admission",
     "LATENCY_EDGES",
-    "QueueFull",
     "ReconciliationService",
     "ReplayConfig",
     "ReplayStats",
     "ServiceConfig",
     "SettlementLedger",
-    "SimFuture",
     "SimProcessPool",
-    "SimQueue",
-    "SimRuntime",
-    "SimTask",
     "TokenBucket",
     "make_poc_claim",
     "replay_fleet",

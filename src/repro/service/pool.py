@@ -1,20 +1,20 @@
-"""Process-pool bridge: real CPU parallelism under the simulated clock.
+"""Process pool for shard settlement: real CPU parallelism under the
+simulated clock.
 
-The sim runtime is single-threaded and deterministic; shard settlement
-is CPU-bound.  :class:`SimProcessPool` submits picklable calls to a
-``concurrent.futures.ProcessPoolExecutor`` and hands back
-:class:`~repro.service.sim_async.SimFuture` bridges a worker coroutine
-can await — the settle worker parks, the event loop keeps dispatching,
-and :meth:`ReconciliationService.drain` blocks on real completions only
-once the loop has nothing left to do.
+Shard settlement is CPU-bound; the event loop is single-threaded and
+deterministic.  :class:`SimProcessPool` runs picklable calls on a
+``concurrent.futures.ProcessPoolExecutor`` and hands each result to a
+callback — but only from :meth:`SimProcessPool.wait_next`, which
+:meth:`ReconciliationService.drain` calls once the loop has nothing left
+to do.  The executor's own threads never call back into the simulation.
 
-Determinism note: when several results are ready together they resolve
-in **submission order**, and the service folds shards strictly by index,
-so the settlement ledger and ``FleetResult`` stay bit-identical to the
-inline path whatever the pool size.  The *virtual timestamps* of
-individual settlements (and thus service-side latency metrics) may vary
-run-to-run — wall-clock completion decides when the loop gets to resume
-a parked worker.
+Determinism note: when several results are ready together their
+callbacks run in **submission order**, and the service folds shards
+strictly by index, so the settlement ledger and ``FleetResult`` stay
+bit-identical to the inline path whatever the pool size.  The *virtual
+timestamps* of individual settlements (and thus service-side latency
+metrics) may vary run-to-run — wall-clock completion decides when the
+loop gets to resume a settlement that waits on the pool.
 
 The executor is created lazily on first submit, so a service configured
 with a pool but fed no shard claims never forks a process.
@@ -24,49 +24,44 @@ from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 
-from .sim_async import SimFuture
-
 
 class SimProcessPool:
-    """Bridge a process pool's futures into SimFutures."""
+    """A process pool whose results reach their callbacks in submission order."""
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"need at least one pool worker, got {workers}")
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
-        self._bridges: dict[Future, SimFuture] = {}
-        self._order: list[Future] = []
+        #: handle -> (callback, args), in submission order.
+        self._callbacks: dict[Future, tuple] = {}
 
-    def submit(self, fn, *args) -> SimFuture:
-        """Dispatch ``fn(*args)`` to the pool; returns the awaitable bridge."""
+    def submit(self, fn, *args) -> Future:
+        """Dispatch ``fn(*args)`` to the pool; returns its handle."""
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        bridge = SimFuture()
-        handle = self._executor.submit(fn, *args)
-        self._bridges[handle] = bridge
-        self._order.append(handle)
-        return bridge
+        return self._executor.submit(fn, *args)
+
+    def when_done(self, handle: Future, callback, *args) -> None:
+        """Have :meth:`wait_next` call ``callback(*args, result, error)``
+        once ``handle`` finishes; ``error`` is the call's exception or None."""
+        self._callbacks[handle] = (callback, args)
 
     def pending(self) -> int:
-        """Submissions whose bridge has not resolved yet."""
-        return len(self._bridges)
+        """Handles whose callback has not run yet."""
+        return len(self._callbacks)
 
     def wait_next(self) -> None:
-        """Block until at least one in-flight call finishes, then resolve
-        every finished bridge in submission order (waking its awaiter)."""
-        if not self._bridges:
+        """Block until at least one pending call finishes, then run the
+        callback of every finished one, in submission order."""
+        if not self._callbacks:
             return
-        wait(list(self._bridges), return_when=FIRST_COMPLETED)
-        ready = [h for h in self._order if h in self._bridges and h.done()]
+        wait(list(self._callbacks), return_when=FIRST_COMPLETED)
+        ready = [handle for handle in self._callbacks if handle.done()]
         for handle in ready:
-            bridge = self._bridges.pop(handle)
-            self._order.remove(handle)
+            callback, args = self._callbacks.pop(handle)
             error = handle.exception()
-            if error is not None:
-                bridge.set_exception(error)
-            else:
-                bridge.set_result(handle.result())
+            callback(*args, None if error is not None else handle.result(), error)
 
     def shutdown(self) -> None:
         """Tear the executor down (idempotent; waits for stragglers)."""

@@ -14,8 +14,9 @@ class TokenBucket:
     """Classic token bucket: ``rate_hz`` tokens/s, capped at ``capacity``.
 
     ``try_acquire(now)`` refills lazily from the elapsed simulated time
-    and either spends the tokens or reports the shortfall.  ``now`` must
-    be non-decreasing across calls (the simulation clock guarantees it).
+    and either spends the tokens or refuses, spending nothing.  ``now``
+    must be non-decreasing across calls (the simulation clock guarantees
+    it).
     """
 
     __slots__ = ("rate_hz", "capacity", "tokens", "t_last")
@@ -43,15 +44,3 @@ class TokenBucket:
             self.tokens -= tokens
             return True
         return False
-
-    def available(self, now: float) -> float:
-        """Tokens available at ``now`` (refills as a side effect)."""
-        self._refill(now)
-        return self.tokens
-
-    def deficit_delay(self, tokens: float = 1.0) -> float:
-        """Seconds until ``tokens`` would be available (retry hint)."""
-        missing = tokens - self.tokens
-        if missing <= 0:
-            return 0.0
-        return missing / self.rate_hz

@@ -6,16 +6,19 @@ network service:
 * **Ingestion** (:meth:`ReconciliationService.submit`) admits *claims*
   — plain dicts a vendor would POST — through a synchronous pipeline:
   shape checks, duplicate-id rejection, the JSON check (encoding the
-  claim's journal record), a per-vendor token bucket, and finally
-  bounded-queue admission (a full queue maps to a
+  claim's journal record), a per-vendor token bucket, and finally the
+  backlog (a backlog of ``config.queue_depth`` claims maps to a
   ``backpressure`` rejection the caller can retry).
-* **Workers** (``config.workers`` coroutines on the sim runtime) drain
-  the queue and settle each claim: shard claims are looked up in the
-  content-addressed result cache and simulated on a miss, PoC claims run
-  Algorithm 2 via
+* **Workers** (up to ``config.workers`` settlements in flight at once)
+  take the backlog oldest first and settle each claim: shard claims are
+  looked up in the content-addressed result cache and simulated on a
+  miss, PoC claims run Algorithm 2 via
   :class:`~repro.poc.verifier.PublicVerifier`, probe claims are cheap
-  no-ops for liveness tests.  A worker never dies on a bad claim — every
-  failure becomes a ``service.rejected{reason=...}`` counter.
+  no-ops for liveness tests.  Each settlement is a plain generator on
+  the event loop: it yields a service time, which a loop event wakes,
+  or a pool handle, which :meth:`ReconciliationService.drain` wakes.  A
+  worker never dies on a bad claim — every failure becomes a
+  ``service.rejected{reason=...}`` counter.
 * **Settlement** streams to a :class:`SettlementLedger` as canonical
   JSON lines.  Shard and per-UE lines are emitted through the
   :class:`~repro.experiments.fleet.FleetAccumulator`'s strictly-ordered
@@ -31,9 +34,10 @@ network service:
   resumed produces the same settlement stream an uninterrupted run
   writes, byte for byte.
 * **Pooled settlement** (``config.pool_workers > 0``): the CPU-bound
-  shard simulation is offloaded to a process pool behind a
-  :class:`~repro.service.pool.SimProcessPool` bridge; the index-ordered
-  fold keeps the ledger bit-identical across pool sizes.
+  shard simulation is offloaded to a
+  :class:`~repro.service.pool.SimProcessPool`, which hands results back
+  in submission order; the index-ordered fold keeps the ledger
+  bit-identical across pool sizes.
 
 Claim schema (all fields required unless noted)::
 
@@ -50,6 +54,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
+from collections.abc import Generator
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +79,6 @@ from ..poc.messages import PlanParams, Poc
 from ..poc.verifier import CYCLE_TOLERANCE_S, PublicVerifier, VerificationFailure
 from .pool import SimProcessPool
 from .ratelimit import TokenBucket
-from .sim_async import SimQueue, SimRuntime
 
 CLAIM_KINDS = ("shard", "poc", "probe")
 
@@ -83,7 +89,9 @@ LATENCY_EDGES = (
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
 
-_SHUTDOWN = object()
+#: A settle body: yields a service time (virtual seconds) or a pool
+#: handle, and is sent the pool call's result back.
+Steps = Generator["float | Future", object, None]
 
 
 def make_poc_claim(
@@ -152,6 +160,14 @@ class ServiceConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+class _Backlog(deque):
+    """Admitted claims waiting for a worker, oldest first."""
+
+    def qsize(self) -> int:
+        """Claims waiting (perfbench's tracer samples it after each submit)."""
+        return len(self)
 
 
 @dataclass(frozen=True)
@@ -388,8 +404,7 @@ class ReconciliationService:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(clock=self.loop.now)
         )
-        self.runtime = SimRuntime(self.loop)
-        self.queue = SimQueue(self.config.queue_depth)
+        self.queue = _Backlog()
         self.cache = _CountingCache(disk_cache, self.metrics)
         self.ledger = ledger if ledger is not None else SettlementLedger()
         self.report = RunReport()
@@ -417,34 +432,34 @@ class ReconciliationService:
         self._folded_indices: set[int] = set()
         self._poc_receipts: list[dict] = []
         self._ingest_t: dict[str, float] = {}
-        self._workers = []
+        self._started = False
+        #: Workers not settling a claim; 0 until :meth:`start`.
+        self._idle = 0
+        #: Why each lost worker died: its ``internal-error`` path raised.
+        self._crashed: list[Exception] = []
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Spawn the worker coroutines (idempotence is an error)."""
-        if self._workers:
+        """Set ``config.workers`` workers on the backlog (idempotence is
+        an error)."""
+        if self._started:
             raise RuntimeError("service already started")
-        for index in range(self.config.workers):
-            self._workers.append(
-                self.runtime.spawn(self._worker(index), name=f"settle-worker-{index}")
-            )
+        self._started = True
+        self._idle = self.config.workers
+        self._pump()
 
     def close(self) -> None:
-        """Gracefully shut down: drain, stop workers, flush deferred lines.
+        """Gracefully shut down: drain, then flush deferred lines.
 
         Safe to call with a backlog still queued: new submissions are
-        refused, the shutdown sentinels enqueue *behind* the remaining
-        claims (``force_put`` never overflows the bounded queue), and
-        the loop is drained so workers settle the backlog before they
-        exit.  Only then are the PoC receipts flushed.
+        refused and the loop is drained, so the workers settle the
+        backlog first.  Only then are the PoC receipts flushed.
         """
         if self._closed:
             return
         self._closed = True
-        for _ in self._workers:
-            self.queue.force_put(_SHUTDOWN)
         self.drain()
         if self.pool is not None:
             self.pool.shutdown()
@@ -460,7 +475,7 @@ class ReconciliationService:
         """Run the loop until both it and the settlement pool are idle.
 
         With ``pool_workers == 0`` this is exactly ``loop.run()``; with
-        a pool, workers parked on in-flight simulations resume as
+        a pool, settlements waiting on in-flight simulations resume as
         results arrive and the loop re-runs until nothing is pending on
         either side.
         """
@@ -470,9 +485,10 @@ class ReconciliationService:
                 return
             self.pool.wait_next()
 
-    def crashed_workers(self) -> list:
-        """Worker tasks that died with an exception (should stay empty)."""
-        return self.runtime.crashed_tasks()
+    def crashed_workers(self) -> list[Exception]:
+        """One error per worker lost because its ``internal-error`` path
+        itself raised (should stay empty)."""
+        return list(self._crashed)
 
     @classmethod
     def resume(
@@ -540,8 +556,8 @@ class ReconciliationService:
         # recorded outcome went down with the process — requeue it.
         for claim_id, claim in pending.items():
             if claim_id not in completed:
-                self.queue.force_put(claim)
-        self.metrics.gauge("service.queue.depth").set(self.queue.qsize())
+                self.queue.append(claim)
+        self.metrics.gauge("service.queue.depth").set(len(self.queue))
 
     # ------------------------------------------------------------ ingestion
 
@@ -599,45 +615,78 @@ class ReconciliationService:
             return self._reject("malformed")
         if not self._bucket(vendor).try_acquire(self.loop.now()):
             return self._reject("rate-limited")
-        if self.queue.full:
+        if len(self.queue) >= self.config.queue_depth:
             return self._reject("backpressure")
         # Record the admission before the hand-off: an idle worker runs
-        # inside put_nowait, and its outcome record must follow this one.
+        # inside _pump, and its outcome record must follow this one.
         self._accepted_ids.add(claim_id)
         self._ingest_t[claim_id] = self.loop.now()
         self.ledger.journal(record, line)
         self.metrics.counter("service.ingested", vendor=vendor).inc()
-        self.queue.put_nowait(claim)
-        self.metrics.gauge("service.queue.depth").set(self.queue.qsize())
+        self.queue.append(claim)
+        self._pump()
+        self.metrics.gauge("service.queue.depth").set(len(self.queue))
         return Admission(True)
 
     # ------------------------------------------------------------- workers
 
-    async def _worker(self, index: int) -> None:
-        while True:
-            claim = await self.queue.get()
-            self.metrics.gauge("service.queue.depth").set(self.queue.qsize())
-            if claim is _SHUTDOWN:
-                return
-            try:
-                await self._settle(claim)
-            except Exception as error:
-                # Degrade, never die: a poisoned claim costs one rejection.
-                self._reject("internal-error")
-                self.metrics.counter(
-                    "service.errors", type=type(error).__name__
-                ).inc()
-                self._ingest_t.pop(claim.get("id"), None)
-                self.ledger.journal(
-                    {
-                        "type": "unclaimed",
-                        "id": claim.get("id"),
-                        "ref": claim.get("ref", claim.get("id")),
-                        "reason": "internal-error",
-                    }
-                )
+    def _pump(self) -> None:
+        """Hand the backlog to idle workers, oldest claim first."""
+        while self._idle and self.queue:
+            self._idle -= 1
+            self._advance(*self._take())
 
-    async def _settle(self, claim: dict) -> None:
+    def _take(self) -> tuple[dict, Steps]:
+        """The oldest backlog claim and its settle generator."""
+        claim = self.queue.popleft()
+        self.metrics.gauge("service.queue.depth").set(len(self.queue))
+        return claim, self._settle(claim)
+
+    def _advance(
+        self,
+        claim: dict,
+        steps: Steps,
+        sent: object = None,
+        error: BaseException | None = None,
+    ) -> None:
+        """Run one worker's settlement to its next wait.
+
+        A service time resumes it from a loop event, a pool handle from
+        :meth:`SimProcessPool.wait_next`.  When the settlement ends the
+        worker takes the next backlog claim here, in a loop rather than
+        by recursion, or goes idle.
+        """
+        while True:
+            try:
+                wait = steps.send(sent) if error is None else steps.throw(error)
+            except StopIteration:
+                pass
+            except Exception as failure:
+                # Degrade, never die: a poisoned claim costs one rejection.
+                try:
+                    self._reject("internal-error")
+                    self.metrics.counter(
+                        "service.errors", type=type(failure).__name__
+                    ).inc()
+                    self._journal_outcome(
+                        claim, claim.get("ref", claim.get("id")), "internal-error"
+                    )
+                except Exception as crash:
+                    self._crashed.append(crash)
+                    return
+            else:
+                if isinstance(wait, Future):
+                    self.pool.when_done(wait, self._advance, claim, steps)
+                else:
+                    self.loop.schedule(wait, self._advance, claim, steps)
+                return
+            if not self.queue:
+                self._idle += 1
+                return
+            claim, steps = self._take()
+            sent = error = None
+
+    def _settle(self, claim: dict) -> Steps:
         kind = claim["kind"]
         ref = claim.get("ref", claim["id"])
         if not isinstance(ref, str) or not ref:
@@ -652,11 +701,11 @@ class ReconciliationService:
         self._claimed_refs.add(ref)
         with self.metrics.span("service.settle", kind=kind):
             if kind == "shard":
-                await self._settle_shard(claim, ref)
+                yield from self._settle_shard(claim, ref)
             elif kind == "poc":
-                await self._settle_poc(claim, ref)
+                yield from self._settle_poc(claim, ref)
             else:
-                await self.runtime.sleep(self.config.probe_service_time_s)
+                yield self.config.probe_service_time_s
                 self.ledger.journal(
                     {
                         "type": "settled",
@@ -694,20 +743,20 @@ class ReconciliationService:
         self._reject(reason)
         self._journal_outcome(claim, ref, reason)
 
-    async def _settle_shard(self, claim: dict, ref: str) -> None:
+    def _settle_shard(self, claim: dict, ref: str) -> Steps:
         try:
             shard = shard_from_dict(claim["shard"])
         except Exception:
             self._unclaim(claim, ref, "malformed-shard")
             return
-        await self.runtime.sleep(self.config.shard_service_time_s)
+        yield self.config.shard_service_time_s
         key = fleet_shard_key(shard)
         data = self.cache.get(key)
         if data is not None:
             self.report.cached += 1
         else:
             if self.pool is not None:
-                data = await self.pool.submit(
+                data = yield self.pool.submit(
                     _simulate_shard_to_dict, shard_to_dict(shard)
                 )
             else:
@@ -735,7 +784,7 @@ class ReconciliationService:
         self.accumulator.add(data)
         self._mark_settled(ref, "shard", claim["id"])
 
-    async def _settle_poc(self, claim: dict, ref: str) -> None:
+    def _settle_poc(self, claim: dict, ref: str) -> Steps:
         keys = self.vendor_keys.get(claim["vendor"])
         if keys is None:
             self._unclaim(claim, ref, "unknown-vendor")
@@ -751,7 +800,7 @@ class ReconciliationService:
         except Exception:
             self._unclaim(claim, ref, "malformed-poc")
             return
-        await self.runtime.sleep(self.config.poc_service_time_s)
+        yield self.config.poc_service_time_s
         if not _on_cycle_grid(plan.t_start, self.config.cycle_duration_s):
             self._unclaim(claim, ref, "poc-" + VerificationFailure.PLAN_MISMATCH.value)
             return

@@ -1,5 +1,5 @@
 """Service lifecycle hardening: drain-aware close, sealed ledger,
-eager config validation.
+eager config validation, and how workers take the backlog.
 
 Each class here pins a bug that used to be latent:
 
@@ -15,6 +15,11 @@ Each class here pins a bug that used to be latent:
 * ``submit()`` handed a claim to an idle worker before journalling its
   admission, so a synchronous rejection wrote ``unclaimed`` ahead of
   ``accepted`` and left a stale ingest timestamp behind.
+
+``TestWorkers`` pins the scheduling the settlements rely on: a backlog
+of claims that settle without waiting drains in a loop, not by
+recursion; one worker settles in admission order; and a worker lost to
+a failing rejection path does not stop the others.
 """
 
 import pytest
@@ -168,3 +173,101 @@ class TestAdmissionJournalOrder:
         assert service._ingest_t == {}
         service.close()
         assert service.crashed_workers() == []
+
+
+#: Claims in a backlog that must drain without deepening the stack.
+BACKLOG = 20_000
+
+
+def _instant_claims() -> list[dict]:
+    """Probes that settle without waiting: the first settles after a
+    zero-length service time, every later one is malformed (empty ref)
+    or that first claim's duplicate."""
+    return [
+        {"id": f"c{i}", "vendor": "v0", "kind": "probe", "ref": "" if i % 2 else "dup"}
+        for i in range(BACKLOG)
+    ]
+
+
+class TestWorkers:
+    CONFIG = ServiceConfig(
+        workers=2, queue_depth=BACKLOG, vendor_burst=BACKLOG, probe_service_time_s=0
+    )
+
+    @pytest.mark.parametrize("via", ["start", "resume"])
+    def test_backlog_drains_without_recursion(self, tmp_path, via):
+        path = tmp_path / "ledger.jsonl"
+        service = ReconciliationService(
+            loop=EventLoop(), config=self.CONFIG, ledger=SettlementLedger(path)
+        )
+        for claim in _instant_claims():
+            assert service.submit(claim).accepted
+        if via == "resume":
+            # The process dies before any worker started.
+            service.ledger.close()
+            service = ReconciliationService.resume(
+                path, loop=EventLoop(), config=self.CONFIG
+            )
+        assert service.queue.qsize() == BACKLOG
+        service.start()
+        service.close()
+        assert service.queue.qsize() == 0
+        assert service.settled_count() == 1
+        assert service.rejections == {
+            "malformed": BACKLOG // 2,
+            "duplicate": BACKLOG // 2 - 1,
+        }
+        assert service.crashed_workers() == []
+
+    def test_one_worker_settles_in_admission_order(self):
+        service = ReconciliationService(
+            loop=EventLoop(),
+            config=ServiceConfig(workers=1, probe_service_time_s=0.01),
+        )
+        service.start()
+        # Arrivals 2 ms apart queue behind 10-ms settlements, and the
+        # admission order is not the id order.
+        ids = [f"c{9 - i}" for i in range(10)]
+        for i, claim_id in enumerate(ids):
+            service.loop.schedule(
+                0.002 * i,
+                service.submit,
+                {"id": claim_id, "vendor": "v0", "kind": "probe"},
+            )
+        service.drain()
+        assert service.settled_count() == len(ids)
+        settled = [
+            record["id"]
+            for record in service.ledger.journal_records()
+            if record["type"] == "settled"
+        ]
+        assert settled == ids
+
+    def test_lost_worker_leaves_the_others(self, monkeypatch):
+        """A worker whose ``internal-error`` path itself raises is lost."""
+        service = ReconciliationService(
+            loop=EventLoop(), config=ServiceConfig(workers=2)
+        )
+        reject = service._reject
+
+        def failing_reject(reason):
+            if reason == "internal-error":
+                raise RuntimeError("rejection path down")
+            return reject(reason)
+
+        def poisoned(claim, ref):
+            raise ValueError("poisoned claim")
+
+        monkeypatch.setattr(service, "_reject", failing_reject)
+        monkeypatch.setattr(service, "_settle_poc", poisoned)
+        service.start()
+        # An idle worker takes the claim inside submit() and dies there.
+        assert service.submit(
+            {"id": "bad", "vendor": "v0", "kind": "poc", "poc": "", "plan": {}}
+        ).accepted
+        assert len(service.crashed_workers()) == 1
+        for i in range(5):
+            assert service.submit({"id": f"p{i}", "vendor": "v0", "kind": "probe"}).accepted
+        service.close()
+        assert service.settled_count() == 5
+        assert len(service.crashed_workers()) == 1

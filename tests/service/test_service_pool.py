@@ -1,17 +1,21 @@
 """Pooled settlement: CPU-parallel shard simulation, same bytes out.
 
-``SimProcessPool`` bridges concurrent futures onto SimFutures so settle
-workers can ``await`` real process-pool simulations; the index-ordered
+``SimProcessPool`` runs shard simulations in worker processes and hands
+each result to its callback in submission order, so a settlement can
+wait on the pool like it waits on a service time; the index-ordered
 fold keeps the ledger and aggregate bit-identical to the inline path
 whatever the pool size — including across a kill-and-resume.
 """
 
 import json
+import time
+from concurrent.futures import wait
 
 import pytest
 
 from repro.experiments.fleet import FleetConfig
 from repro.service import (
+    ReconciliationService,
     ReplayConfig,
     ServiceConfig,
     SettlementLedger,
@@ -24,8 +28,9 @@ FLEET = FleetConfig(ues=16, shard_size=2, seed=5, n_cycles=1, cycle_duration_s=1
 REPLAY = ReplayConfig(duration_s=30.0)
 
 
-def _square(x):
+def _slow_square(x, delay):
     # Must live at module level: it crosses the process boundary.
+    time.sleep(delay)
     return x * x
 
 
@@ -34,22 +39,34 @@ def _explode(message):
 
 
 class TestSimProcessPool:
-    def test_bridges_resolve_with_results(self):
+    def test_callbacks_run_in_submission_order(self):
         pool = SimProcessPool(2)
-        futures = [pool.submit(_square, n) for n in range(5)]
+        seen = []
+        # Later calls finish first; their callbacks still run in order.
+        handles = [pool.submit(_slow_square, n, 0.04 * (4 - n)) for n in range(5)]
+        for n, handle in enumerate(handles):
+            pool.when_done(
+                handle, lambda n, result, error: seen.append((n, result, error)), n
+            )
         assert pool.pending() == 5
-        while pool.pending():
-            pool.wait_next()
-        assert [f.result() for f in futures] == [0, 1, 4, 9, 16]
+        wait(handles)
+        pool.wait_next()
+        assert seen == [(n, n * n, None) for n in range(5)]
+        assert pool.pending() == 0
         pool.shutdown()
 
-    def test_exception_propagates_to_bridge(self):
+    def test_raising_call_reaches_its_callback(self):
         pool = SimProcessPool(1)
-        future = pool.submit(_explode, "boom")
+        seen = []
+        pool.when_done(
+            pool.submit(_explode, "boom"),
+            lambda result, error: seen.append((result, error)),
+        )
         while pool.pending():
             pool.wait_next()
-        assert isinstance(future.exception(), ValueError)
-        assert "boom" in str(future.exception())
+        [(result, error)] = seen
+        assert result is None
+        assert isinstance(error, ValueError) and "boom" in str(error)
         pool.shutdown()
 
     def test_executor_is_lazy_and_shutdown_idempotent(self):
@@ -57,6 +74,13 @@ class TestSimProcessPool:
         assert pool._executor is None  # no processes forked until needed
         pool.shutdown()
         pool.shutdown()
+        # A pooled service fed no shard claims never forks either.
+        service = ReconciliationService(config=ServiceConfig(pool_workers=2))
+        service.start()
+        assert service.submit({"id": "p", "vendor": "v0", "kind": "probe"}).accepted
+        service.close()
+        assert service.settled_count() == 1
+        assert service.pool._executor is None
 
     def test_rejects_non_positive_worker_count(self):
         with pytest.raises(ValueError):

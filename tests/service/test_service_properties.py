@@ -87,14 +87,13 @@ class TestTokenBucket:
         rate=st.floats(0.5, 20.0, allow_nan=False),
         spend=st.integers(1, 5),
     )
-    def test_deficit_delay_is_sufficient_wait(self, rate, spend):
+    def test_waiting_out_the_shortfall_suffices(self, rate, spend):
         bucket = TokenBucket(rate, capacity=5.0)
         for _ in range(5):
             assert bucket.try_acquire(0.0)
-        delay = bucket.deficit_delay(spend)
-        assert delay > 0
-        # Waiting exactly the hinted delay makes the acquire succeed.
-        assert bucket.try_acquire(delay, spend)
+        assert not bucket.try_acquire(0.0, spend)
+        # Waiting exactly (spend - tokens) / rate makes the acquire succeed.
+        assert bucket.try_acquire((spend - bucket.tokens) / rate, spend)
 
     def test_clock_running_backwards_is_an_error(self):
         bucket = TokenBucket(1.0, 1.0)
