@@ -16,7 +16,6 @@ so a re-run only simulates scenarios whose config changed.  Set
 ``REPRO_CACHE_DIR=off`` to force every scenario to simulate.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -31,13 +30,11 @@ CACHE_DIR = Path(__file__).parent / ".cache"
 @pytest.fixture(scope="session", autouse=True)
 def scenario_engine():
     """Point the default engine at the benchmark cache (env-overridable)."""
-    workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", str(CACHE_DIR))
-    if cache_dir.lower() in ("", "0", "off", "none"):
-        cache_dir = None
-    parallel.configure(workers=workers, cache_dir=cache_dir)
+    settings = parallel.env_settings(cache_dir=CACHE_DIR)
+    # The archived figures are the faultless ones: no default fault profile.
+    parallel.configure(workers=settings["workers"], cache_dir=settings["cache_dir"])
     yield
-    parallel.configure(workers=0, cache_dir=os.environ.get("REPRO_CACHE_DIR") or None)
+    parallel.configure(**parallel.env_settings())
 
 
 @pytest.fixture(scope="session")

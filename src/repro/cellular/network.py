@@ -46,9 +46,6 @@ class NetworkConfig:
     backhaul_latency_s: float = 0.002
     lan_latency_s: float = 0.0005
     modem_ul_buffer_bytes: int = 32 * 1024
-    #: Keep emitted CDR objects in memory (fleet shards with many bearers
-    #: turn this off; counters and metrics still accumulate).
-    retain_cdrs: bool = True
 
 
 class UeAccess:
@@ -130,10 +127,7 @@ class CellularNetwork:
         address = GatewayAddress(self.config.gateway_address)
         self.spgw = Spgw(loop, self.bearers, address, policy=self.pcrf, metrics=metrics)
         self.ids = ChargingIdAllocator()
-        self.ofcs = Ofcs(
-            loop, self.bearers, address, self.ids, metrics=metrics,
-            retain_records=self.config.retain_cdrs,
-        )
+        self.ofcs = Ofcs(loop, self.bearers, address, self.ids, metrics=metrics)
         if self.config.n_cells < 1:
             raise ValueError(f"need at least one cell, got {self.config.n_cells}")
         self.enodebs = [

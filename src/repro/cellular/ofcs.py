@@ -103,7 +103,6 @@ class Ofcs:
         gateway_address: GatewayAddress,
         ids: ChargingIdAllocator | None = None,
         metrics=None,
-        retain_records: bool = True,
     ) -> None:
         self.loop = loop
         self.bearers = bearers
@@ -112,11 +111,6 @@ class Ofcs:
         self.records: list[CdrRecord] = []
         self._cycle_start: dict[str, float] = {}
         self.metrics = metrics
-        #: With many bearers per run (fleet shards) the CDR list grows as
-        #: O(bearers × cycles); callers that only need the counters and
-        #: metrics can turn retention off and keep the OFCS O(bearers).
-        self.retain_records = retain_records
-        self.records_emitted = 0
 
     # --------------------------------------------------------------- usage
 
@@ -141,9 +135,7 @@ class Ofcs:
             raise ValueError(f"cycle end {t2} precedes cycle start {t1}")
         record = self._build_record(bearer, t1, t2)
         self._cycle_start[flow_id] = t2
-        self.records_emitted += 1
-        if self.retain_records:
-            self.records.append(record)
+        self.records.append(record)
         if self.metrics is not None:
             self.metrics.counter("cellular.ofcs.cdrs").inc()
             self.metrics.counter("cellular.ofcs.uplink_bytes").inc(

@@ -342,25 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_engine(args) -> None:
-    """Apply --workers/--cache-dir/--no-cache on top of the env defaults."""
+    """Apply --workers/--cache-dir/--no-cache/--fault-profile on top of
+    the env defaults; ``args.fault_profile`` then holds the profile in
+    force, which ``fleet`` and ``serve`` write into their FleetConfig."""
     import os
 
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    if args.no_cache:
-        cache_dir = None
-    fault_profile = (
-        args.fault_profile or os.environ.get("REPRO_FAULT_PROFILE") or None
-    )
+    env = parallel.env_settings()
+    workers = env["workers"] if args.workers is None else args.workers
+    cache_dir = None if args.no_cache else args.cache_dir or env["cache_dir"]
+    args.fault_profile = args.fault_profile or env["fault_profile"]
     if args.kernel is not None:
         # Runners (including worker processes) resolve the kernel from
         # this env var at simulate time.
         os.environ["REPRO_SIM_KERNEL"] = args.kernel
-    parallel.configure(
-        workers=workers, cache_dir=cache_dir, fault_profile=fault_profile
-    )
+    parallel.configure(workers, cache_dir, args.fault_profile)
 
 
 def _manifest(args, name: str, command: str) -> RunManifest | None:
@@ -387,14 +382,13 @@ def _fleet_config(args) -> FleetConfig:
     if args.mix:
         extra["mix"] = tuple(name.strip() for name in args.mix.split(",") if name.strip())
     if args.command == "fleet":
-        # Only a batch sweep stamps the chaos overrides and the fault
-        # profile on every UE (and so into the shard cache keys).
+        # Only a batch sweep stamps the chaos overrides on every UE (and
+        # so into the shard cache keys).
         extra.update(
             outage_eta=args.outage_eta,
             handover_interval_s=args.handover_interval,
             handover_x2=args.handover_x2,
             quota_bytes=args.quota_bytes,
-            fault_profile=args.fault_profile or None,
         )
     return FleetConfig(
         ues=args.ues,
@@ -403,6 +397,8 @@ def _fleet_config(args) -> FleetConfig:
         n_cycles=args.cycles,
         cycle_duration_s=args.cycle_seconds,
         zipf_s=args.zipf,
+        # Resolved by _configure_engine: the flag, else REPRO_FAULT_PROFILE.
+        fault_profile=args.fault_profile,
         **extra,
     )
 
@@ -753,15 +749,13 @@ def _write_report(path: Path) -> int:
 # -------------------------------------------------------- obs / baselines
 
 
-def _default_cache_dir(override: str | None) -> Path:
-    import os
-
+def _default_cache_dir(override: str | None) -> Path | None:
+    """``--cache-dir``, else the environment's cache (None when it is
+    off), else the benchmark cache."""
     if override:
         return Path(override)
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path("benchmarks") / ".cache"
+    cache_dir = parallel.env_settings(Path("benchmarks") / ".cache")["cache_dir"]
+    return None if cache_dir is None else Path(cache_dir)
 
 
 def _snapshot_from_file(path: Path) -> tuple[MetricsSnapshot, str]:
@@ -784,10 +778,15 @@ def _snapshot_from_file(path: Path) -> tuple[MetricsSnapshot, str]:
 def _show_obs(args) -> int:
     """The ``repro obs`` subcommand: render per-layer accounting."""
     cache_dir = _default_cache_dir(args.cache_dir)
+    where = f"under {cache_dir}" if cache_dir else "(REPRO_CACHE_DIR turns the cache off)"
+
+    def cached(pattern: str) -> list[Path]:
+        return sorted(cache_dir.glob(pattern)) if cache_dir and cache_dir.is_dir() else []
+
     if args.list_runs:
-        entries = sorted(cache_dir.glob("*.json")) if cache_dir.is_dir() else []
+        entries = cached("*.json")
         if not entries:
-            print(f"no cached runs under {cache_dir}")
+            print(f"no cached runs {where}")
             return 0
         for entry in entries:
             try:
@@ -807,13 +806,10 @@ def _show_obs(args) -> int:
     if as_path.is_file():
         path = as_path
     else:
-        matches = (
-            sorted(cache_dir.glob(f"{args.run}*.json"))
-            if cache_dir.is_dir() else []
-        )
+        matches = cached(f"{args.run}*.json")
         if not matches:
             print(
-                f"no cached run matching {args.run!r} under {cache_dir} "
+                f"no cached run matching {args.run!r} {where} "
                 "(try: repro obs --list)",
                 file=sys.stderr,
             )

@@ -16,11 +16,11 @@ scaling its memory:
   :class:`~repro.experiments.fleet_runner.FleetShardRunner` and shipped
   back as an O(shard) summary dict (per-UE reductions + one mergeable
   metrics snapshot);
-* shards fan out through the same process pool and content-addressed
-  cache as single-UE sweeps (shard cache keys hash the full shard spec),
-  and :class:`FleetAccumulator` folds results *in shard-index order* as
-  they stream in — float accumulation order is fixed, so the aggregate
-  is bit-identical across worker counts, cache states and arrival
+* shards fan out through the same cached fan-out as single-UE sweeps
+  (:func:`~repro.experiments.parallel.cached_results`; shard cache keys
+  hash the full shard spec), and :class:`FleetAccumulator` folds them
+  *in shard-index order* as they stream in — float accumulation order
+  is fixed, so the aggregate is bit-identical across worker counts, cache states and arrival
   orders, and peak memory stays O(shard), never O(population).
 """
 
@@ -29,8 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from ..cellular import HandoverConfig, QuotaPolicy, RadioProfile
@@ -42,12 +41,12 @@ from .parallel import (
     CODEC_VERSION,
     ResultCache,
     RunReport,
-    apply_default_faults,
+    cached_results,
     config_from_dict,
     config_to_dict,
     derive_seed,
+    resolve_fault_profile,
 )
-from . import parallel as _parallel
 from .runner import SCHEMES
 from .scenarios import (
     GAMING_DL,
@@ -89,7 +88,8 @@ DEFAULT_MIX = tuple(ARCHETYPES)
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """A population-scale sweep, described in O(1) space."""
+    """A population-scale sweep, described in O(1) space: every UE's
+    config, and so every shard key, follows from these fields alone."""
 
     ues: int
     shard_size: int = 8
@@ -106,8 +106,8 @@ class FleetConfig:
     handover_x2: bool = False
     quota_bytes: int | None = None
     #: Canned fault profile (a :data:`~repro.netsim.faults.FAULT_PROFILES`
-    #: name) stamped onto every UE's config (None = keep each archetype's
-    #: own / the ``REPRO_FAULT_PROFILE`` default).
+    #: name) stamped onto every UE's config; the fleet's only fault source
+    #: (None = keep each archetype's own schedule).
     fault_profile: str | None = None
 
     def __post_init__(self) -> None:
@@ -132,28 +132,12 @@ class FleetConfig:
             raise ValueError(
                 f"unknown archetypes {unknown} (know {', '.join(ARCHETYPES)})"
             )
-        if self.fault_profile is not None and self.fault_profile not in FAULT_PROFILES:
-            raise ValueError(
-                f"unknown fault profile {self.fault_profile!r} "
-                f"(know {', '.join(FAULT_PROFILES)})"
-            )
+        resolve_fault_profile(self.fault_profile)
 
     def to_dict(self) -> dict:
-        """JSON-safe encoding (manifest / provenance)."""
-        return {
-            "ues": self.ues,
-            "shard_size": self.shard_size,
-            "seed": self.seed,
-            "n_cycles": self.n_cycles,
-            "cycle_duration_s": self.cycle_duration_s,
-            "zipf_s": self.zipf_s,
-            "mix": list(self.mix),
-            "outage_eta": self.outage_eta,
-            "handover_interval_s": self.handover_interval_s,
-            "handover_x2": self.handover_x2,
-            "quota_bytes": self.quota_bytes,
-            "fault_profile": self.fault_profile,
-        }
+        """JSON-safe encoding (manifest / provenance) of every field, so an
+        aggregate's ``config`` block states all that its fleet ran under."""
+        return {**asdict(self), "mix": list(self.mix)}
 
 
 @dataclass(frozen=True)
@@ -223,13 +207,12 @@ def assign_ues(fleet: FleetConfig) -> list[UeSpec]:
             overrides["quota_bytes"] = fleet.quota_bytes
         if fleet.fault_profile is not None:
             overrides["faults"] = FAULT_PROFILES[fleet.fault_profile]
-        config = ARCHETYPES[archetype].with_(**overrides)
         ues.append(
             UeSpec(
                 index=index,
                 archetype=archetype,
                 seed=registry.seed,
-                config=apply_default_faults(config),
+                config=ARCHETYPES[archetype].with_(**overrides),
             )
         )
     return ues
@@ -602,11 +585,10 @@ class FleetAccumulator:
 # ------------------------------------------------------------------ engine
 
 
-def _usable(data: dict | None) -> bool:
-    """Shape-check a cached shard result (corrupt entries are misses)."""
+def _usable(data: dict) -> bool:
+    """Shape-check a cached shard result (damaged entries are misses)."""
     return (
-        isinstance(data, dict)
-        and data.get("version") == FLEET_CODEC_VERSION
+        data.get("version") == FLEET_CODEC_VERSION
         and data.get("codec") == CODEC_VERSION
         and isinstance(data.get("ues"), list)
         and isinstance(data.get("metrics"), dict)
@@ -623,58 +605,21 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet sweep, streaming shard results into one aggregate.
 
-    Shards hit the cache (by shard key) or fan out over a process pool;
-    either way results are folded in shard-index order as they arrive, so
-    the aggregate is bit-identical across worker counts and cache states
-    and peak memory stays O(shard size), not O(population).  ``ue_sink``,
-    if given, receives every per-UE summary row in UE-index order — the
-    streaming hook for per-UE CSV export.
+    :func:`~repro.experiments.parallel.cached_results` serves the shards
+    (by shard key) from the cache or simulates them, and yields them in
+    shard-index order, so the aggregate is bit-identical across worker
+    counts and cache states and peak memory stays O(shard size), not
+    O(population).  ``workers``, ``cache`` and ``report`` are passed
+    through.  ``ue_sink``, if given, receives every per-UE summary row
+    in UE-index order — the streaming hook for per-UE CSV export.
     """
-    if cache is True:
-        cache = _parallel._default_cache
-    elif cache is False:
-        cache = None
-    n_workers = _parallel._default_workers if workers is None else int(workers)
-
     shards = build_shards(fleet)
     keys = [fleet_shard_key(shard) for shard in shards]
-    run_report = report if report is not None else RunReport()
+    report = report if report is not None else RunReport()
     accumulator = FleetAccumulator(ue_sink=ue_sink)
-
-    # Cheap existence probe decides what goes to the pool; a probe hit
-    # that later fails to parse falls back to inline simulation.
-    miss = [i for i, key in enumerate(keys) if cache is None or not cache.has(key)]
-    miss_set = set(miss)
-
-    pool = None
-    miss_iter = None
-    try:
-        if len(miss) > 1 and n_workers > 1:
-            pool = ProcessPoolExecutor(max_workers=min(n_workers, len(miss)))
-            miss_iter = pool.map(
-                _simulate_shard_to_dict, [shard_to_dict(shards[i]) for i in miss]
-            )
-        for i, shard in enumerate(shards):
-            if i in miss_set:
-                data = (
-                    next(miss_iter)
-                    if miss_iter is not None
-                    else _simulate_shard_to_dict(shard_to_dict(shard))
-                )
-                if cache is not None:
-                    cache.put_data(keys[i], data)
-                run_report.simulated += 1
-            else:
-                data = cache.get_data(keys[i])
-                if _usable(data):
-                    run_report.cached += 1
-                else:
-                    data = _simulate_shard_to_dict(shard_to_dict(shard))
-                    cache.put_data(keys[i], data)
-                    run_report.simulated += 1
-            accumulator.add(data)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    return accumulator.finalize(fleet, run_report)
+    for data in cached_results(
+        _simulate_shard_to_dict, shard_to_dict, shards, keys, _usable,
+        workers, cache, report,
+    ):
+        accumulator.add(data)
+    return accumulator.finalize(fleet, report)

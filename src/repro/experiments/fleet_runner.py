@@ -484,7 +484,7 @@ class FleetShardRunner:
         # Shard-level randomness (radio processes keyed by IMSI, per-cell
         # air noise) comes from the shard seed.
         self.network = build_network(
-            shard.seed, self.cycle_duration_s, n_cells=len(shard.ues), retain_cdrs=False
+            shard.seed, self.cycle_duration_s, n_cells=len(shard.ues)
         )
         self.metrics = self.network.metrics
         # Per-UE randomness: a registry seeded only by the UE's fleet-wide

@@ -7,11 +7,12 @@ builds a fresh :class:`~repro.netsim.events.EventLoop` and derives every
 random stream from ``StreamRegistry(config.seed)``, so a scenario's result
 depends on nothing outside its config.  This module exploits both facts:
 
-* :func:`run_scenarios` fans configs out over a process pool; results are
-  shipped across the process boundary through an explicit dataclass↔dict
-  codec (live results reference simulator objects, so we serialize the
-  record content, not the object graph).  Per-scenario determinism makes
-  parallel results bit-identical to serial ones.
+* :func:`cached_results` fans specs out over a process pool behind the
+  cache, for :func:`run_scenarios` and the fleet engine alike; results
+  are shipped across the process boundary through an explicit
+  dataclass↔dict codec (live results reference simulator objects, so we
+  serialize the record content, not the object graph).  Per-scenario
+  determinism makes parallel results bit-identical to serial ones.
 * :class:`ResultCache` stores the same codec output on disk under a
   content-addressed key — a stable hash of the full ``ScenarioConfig``
   plus a codec version.  Re-running a figure benchmark only simulates
@@ -20,10 +21,9 @@ depends on nothing outside its config.  This module exploits both facts:
   of :data:`CODEC_VERSION`, produces a new key and the stale entry is
   simply never read again.
 
-Module-level defaults (set by :func:`configure`, seeded from the
-``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` environment variables) let the
-CLI and the benchmark harness opt whole sweeps in without threading
-options through every figure function.
+Module-level defaults (set by :func:`configure`, seeded from
+:func:`env_settings`) let the CLI and the benchmark harness opt whole
+sweeps in without threading options through every figure function.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from ..cellular.radio import RssSample
 from ..core.gap import SchemeOutcome
@@ -221,9 +221,10 @@ class ResultCache:
     """On-disk run results, content-addressed by a caller-supplied key.
 
     One JSON file per entry under ``directory``; scenario sweeps key
-    entries with :func:`scenario_key`, the fleet engine with its shard
-    key.  Unreadable or version-mismatched entries are treated as misses
-    and removed, so a corrupt cache can never poison a sweep.
+    entries with :func:`scenario_key`, the fleet engine and the service
+    with the shard key.  :meth:`get_data` drops an entry that does not
+    parse, is not a dict or fails the caller's codec check, and reads it
+    as a miss, so a damaged cache can never poison a sweep.
 
     Publishing is concurrency-safe: each writer stages through its own
     unique temp file (pid + uuid) in the cache directory and atomically
@@ -235,8 +236,6 @@ class ResultCache:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
 
-    # ------------------------------------------------------- key-based API
-
     def path_for_key(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
@@ -244,21 +243,22 @@ class ResultCache:
         """Cheap existence probe (no parse; the entry may still be corrupt)."""
         return self.path_for_key(key).is_file()
 
-    def get_data(self, key: str) -> dict | None:
-        """Load one entry's decoded JSON, or None (and drop it) if unusable."""
+    def get_data(
+        self, key: str, usable: Callable[[dict], bool] | None = None
+    ) -> dict | None:
+        """Load one entry's decoded JSON, or None (and drop it) if it does
+        not parse, is not a dict or fails ``usable``, the codec's check."""
         path = self.path_for_key(key)
         try:
             data = json.loads(path.read_text())
         except FileNotFoundError:
             return None
         except (ValueError, OSError):
-            # Corrupt/truncated entries are a miss, never a crash.
-            path.unlink(missing_ok=True)
-            return None
-        if not isinstance(data, dict):
-            path.unlink(missing_ok=True)
-            return None
-        return data
+            data = None
+        if isinstance(data, dict) and (usable is None or usable(data)):
+            return data
+        path.unlink(missing_ok=True)
+        return None
 
     def put_data(self, key: str, data: dict) -> Path:
         """Atomically publish one entry via a writer-unique temp file."""
@@ -272,44 +272,36 @@ class ResultCache:
             tmp.unlink(missing_ok=True)
         return path
 
-    # ---------------------------------------------------- scenario-keyed API
-
-    def path_for(self, config: ScenarioConfig) -> Path:
-        return self.path_for_key(scenario_key(config))
-
-    def get(self, config: ScenarioConfig) -> ScenarioResult | None:
-        key = scenario_key(config)
-        data = self.get_data(key)
-        if data is None:
-            return None
-        try:
-            return result_from_dict(data)
-        except (ValueError, KeyError, TypeError, IndexError):
-            self.path_for_key(key).unlink(missing_ok=True)
-            return None
-
-    def put(self, config: ScenarioConfig, result: ScenarioResult) -> Path:
-        return self.put_data(scenario_key(config), result_to_dict(result))
-
 
 # ------------------------------------------------------------------ engine
 
 
 @dataclass
 class RunReport:
-    """Where each scenario of the last :func:`run_scenarios` came from."""
+    """Where each result of a sweep came from: simulated or cached."""
 
     simulated: int = 0
     cached: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.simulated + self.cached
 
 
 _default_workers = 0
 _default_cache: ResultCache | None = None
 _default_faults: FaultSchedule | None = None
+
+
+def env_settings(cache_dir: str | Path | None = None) -> dict:
+    """:func:`configure` keywords from ``REPRO_WORKERS``, ``REPRO_FAULT_PROFILE``
+    and ``REPRO_CACHE_DIR`` (unset: ``cache_dir``; ``off``/``0``/``none``/empty:
+    no cache)."""
+    env_cache = os.environ.get("REPRO_CACHE_DIR")
+    if env_cache is not None:
+        off = env_cache.strip().lower() in ("", "0", "off", "none")
+        cache_dir = None if off else env_cache
+    return {
+        "workers": int(os.environ.get("REPRO_WORKERS") or 0),
+        "cache_dir": cache_dir,
+        "fault_profile": os.environ.get("REPRO_FAULT_PROFILE") or None,
+    }
 
 
 def resolve_fault_profile(profile: FaultSchedule | str | None) -> FaultSchedule | None:
@@ -335,12 +327,11 @@ def configure(
     ``workers=0``/``1`` means serial; ``cache_dir=None`` disables the
     cache.  ``fault_profile`` (a :class:`FaultSchedule` or a name from
     :data:`~repro.netsim.faults.FAULT_PROFILES`) is stamped onto every
-    config that doesn't carry its own schedule, *before* cache lookup —
-    so chaos runs occupy distinct cache entries and parallel workers see
-    the faults inside the config they receive.  Called by the CLI
+    scenario config without a schedule of its own, *before* cache lookup,
+    so chaos runs occupy distinct cache entries; a fleet's faults come
+    from ``FleetConfig.fault_profile`` alone.  Called by the CLI
     (``--workers``/``--cache-dir``/``--fault-profile``) and the benchmark
-    harness; initial values come from the ``REPRO_WORKERS``,
-    ``REPRO_CACHE_DIR`` and ``REPRO_FAULT_PROFILE`` environment variables.
+    harness; initial values come from :func:`env_settings`.
     """
     global _default_workers, _default_cache, _default_faults
     _default_workers = int(workers) if workers is not None else 0
@@ -355,11 +346,52 @@ def apply_default_faults(config: ScenarioConfig) -> ScenarioConfig:
     return config.with_(faults=_default_faults)
 
 
-configure(
-    workers=int(os.environ.get("REPRO_WORKERS", "0") or 0),
-    cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-    fault_profile=os.environ.get("REPRO_FAULT_PROFILE") or None,
-)
+configure(**env_settings())
+
+
+def cached_results(
+    simulate: Callable[[dict], dict],
+    encode: Callable[[object], dict],
+    specs: Sequence,
+    keys: Sequence[str],
+    usable: Callable[[dict], bool],
+    workers: int | None,
+    cache: ResultCache | None | bool,
+    report: RunReport | None,
+) -> Iterator[dict]:
+    """Yield every spec's result dict, in input order, counted into ``report``.
+
+    Cache hits are served under ``usable``; misses run
+    ``simulate(encode(spec))`` on one process pool, or inline when
+    ``workers`` ≤ 1, on a single miss or for an entry found damaged, and
+    each is published before it is yielded.  ``cache=True`` uses the
+    configured default cache (possibly none), ``None``/``False`` none.
+    """
+    cache = _default_cache if cache is True else cache or None
+    n_workers = _default_workers if workers is None else int(workers)
+    report = report if report is not None else RunReport()
+    # A cheap existence probe decides what goes to the pool.
+    probed = [cache is not None and cache.has(key) for key in keys]
+    misses = [i for i, hit in enumerate(probed) if not hit]
+    pool = pooled = None
+    if n_workers > 1 and len(misses) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(misses)))
+        pooled = pool.map(simulate, [encode(specs[i]) for i in misses])
+    try:
+        for i, key in enumerate(keys):
+            data = cache.get_data(key, usable) if probed[i] else None
+            if data is not None:
+                report.cached += 1
+            else:
+                fresh = pooled is not None and not probed[i]
+                data = next(pooled) if fresh else simulate(encode(specs[i]))
+                if cache is not None:
+                    cache.put_data(key, data)
+                report.simulated += 1
+            yield data
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _simulate_to_dict(config_data: dict) -> dict:
@@ -375,47 +407,25 @@ def run_scenarios(
 ) -> list[ScenarioResult]:
     """Run a batch of scenarios, in input order, as fast as allowed.
 
-    Cache hits are returned without simulating; misses run either inline
-    (``workers`` ≤ 1, or a single miss) or on a process pool.  Parallel
-    and serial execution produce bit-identical results: every scenario is
-    seeded solely from its own config.
-
-    ``cache=True`` uses the configured default cache (possibly none),
-    ``cache=None``/``False`` disables caching for this call, and an
-    explicit :class:`ResultCache` overrides the default.  ``report``, if
-    given, is filled with simulated/cached counts.
+    :func:`cached_results` serves or simulates each scenario, and each
+    result is decoded once.  Parallel and serial execution produce
+    bit-identical results: every scenario is seeded solely from its own
+    config.  ``workers``, ``cache`` and ``report`` are passed through.
     """
-    if cache is True:
-        cache = _default_cache
-    elif cache is False:
-        cache = None
-    n_workers = _default_workers if workers is None else int(workers)
     configs = [apply_default_faults(config) for config in configs]
-    results: list[ScenarioResult | None] = [None] * len(configs)
+    keys = [scenario_key(config) for config in configs]
+    # A cached entry is usable when it decodes: a shape check would pass
+    # an entry with damaged rows.  The hit being yielded keeps its result.
+    hit: list = [None, None]
 
-    misses: list[int] = []
-    for i, config in enumerate(configs):
-        hit = cache.get(config) if cache is not None else None
-        if hit is not None:
-            results[i] = hit
-        else:
-            misses.append(i)
-    if report is not None:
-        report.cached += len(configs) - len(misses)
-        report.simulated += len(misses)
+    def decodes(data: dict) -> bool:
+        try:
+            hit[:] = data, result_from_dict(data)
+        except (ValueError, KeyError, TypeError, IndexError, AttributeError):
+            return False
+        return True
 
-    if misses:
-        if n_workers <= 1 or len(misses) == 1:
-            fresh = [run_scenario(configs[i]) for i in misses]
-        else:
-            with ProcessPoolExecutor(max_workers=min(n_workers, len(misses))) as pool:
-                encoded = pool.map(
-                    _simulate_to_dict, [config_to_dict(configs[i]) for i in misses]
-                )
-                fresh = [result_from_dict(data) for data in encoded]
-        for i, result in zip(misses, fresh):
-            results[i] = result
-            if cache is not None:
-                cache.put(configs[i], result)
-
-    return results  # type: ignore[return-value]  # every slot is filled
+    results = cached_results(
+        _simulate_to_dict, config_to_dict, configs, keys, decodes, workers, cache, report
+    )
+    return [hit[1] if data is hit[0] else result_from_dict(data) for data in results]

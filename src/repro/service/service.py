@@ -181,8 +181,8 @@ class Admission:
 class _CountingCache:
     """The service's shard-result lookups in an optional ``ResultCache``.
 
-    An entry that is missing or fails the fleet codec's shape check is a
-    miss; the re-simulated result then overwrites it.  ``hits_memory``
+    A missing entry is a miss, and so is one that ``get_data`` drops as
+    damaged under the fleet codec's shape check.  ``hits_memory``
     stays, always 0, because ``perfbench/client.py`` sums it with
     ``hits_disk`` and ``misses`` and the benchmark's files are kept
     unchanged so that runs of old and new revisions compare.
@@ -197,8 +197,8 @@ class _CountingCache:
         self.misses = 0
 
     def get(self, key: str) -> dict | None:
-        data = self.disk.get_data(key) if self.disk is not None else None
-        if _usable(data):
+        data = self.disk.get_data(key, _usable) if self.disk is not None else None
+        if data is not None:
             self.hits_disk += 1
             self.metrics.counter("service.cache.hit", tier="disk").inc()
             return data
@@ -689,32 +689,42 @@ class ReconciliationService:
     def _settle(self, claim: dict) -> Steps:
         kind = claim["kind"]
         ref = claim.get("ref", claim["id"])
-        if not isinstance(ref, str) or not ref:
-            self._reject("malformed")
-            self._journal_outcome(claim, None, "malformed")
-            return
-        if ref in self._claimed_refs:
-            # A retry raced its settled (or in-flight) twin.
-            self._reject("duplicate")
-            self._journal_outcome(claim, ref, "duplicate")
-            return
-        self._claimed_refs.add(ref)
-        with self.metrics.span("service.settle", kind=kind):
-            if kind == "shard":
-                yield from self._settle_shard(claim, ref)
-            elif kind == "poc":
-                yield from self._settle_poc(claim, ref)
-            else:
-                yield self.config.probe_service_time_s
-                self.ledger.journal(
-                    {
-                        "type": "settled",
-                        "kind": "probe",
-                        "id": claim["id"],
-                        "ref": ref,
-                    }
-                )
-                self._mark_settled(ref, "probe", claim["id"])
+        claimed = False
+        try:
+            if not isinstance(ref, str) or not ref:
+                self._unclaim(claim, None, "malformed")
+                return
+            if ref in self._claimed_refs:
+                # A retry raced its settled (or in-flight) twin, which
+                # keeps the ref.
+                self._unclaim(claim, ref, "duplicate")
+                return
+            self._claimed_refs.add(ref)
+            claimed = True
+            with self.metrics.span("service.settle", kind=kind):
+                if kind == "shard":
+                    yield from self._settle_shard(claim, ref)
+                elif kind == "poc":
+                    yield from self._settle_poc(claim, ref)
+                else:
+                    yield self.config.probe_service_time_s
+                    self.ledger.journal(
+                        {
+                            "type": "settled",
+                            "kind": "probe",
+                            "id": claim["id"],
+                            "ref": ref,
+                        }
+                    )
+                    self._mark_settled(ref, "probe", claim["id"])
+        finally:
+            # A claim that ends unsettled, rejected or raising, gives back
+            # its ingest stamp and the ref it claimed, which a resumed
+            # service never holds; a raise gets here before _advance
+            # journals the outcome, so a failing journal keeps neither.
+            self._ingest_t.pop(claim["id"], None)
+            if claimed and ref not in self._settled_refs:
+                self._claimed_refs.discard(ref)
 
     def _mark_settled(self, ref: str, kind: str, claim_id: str) -> None:
         self._settled_refs.add(ref)
@@ -726,7 +736,6 @@ class ReconciliationService:
             ).observe(self.loop.now() - ingested_at)
 
     def _journal_outcome(self, claim: dict, ref, reason: str) -> None:
-        self._ingest_t.pop(claim.get("id"), None)
         self.ledger.journal(
             {
                 "type": "unclaimed",
@@ -736,10 +745,9 @@ class ReconciliationService:
             }
         )
 
-    def _unclaim(self, claim: dict, ref: str, reason: str) -> None:
+    def _unclaim(self, claim: dict, ref: str | None, reason: str) -> None:
         # Failure may be transient (e.g. the payload was corrupted in
-        # flight); release the ref so a clean retry can settle it.
-        self._claimed_refs.discard(ref)
+        # flight); _settle releases the ref so a clean retry can settle it.
         self._reject(reason)
         self._journal_outcome(claim, ref, reason)
 

@@ -60,12 +60,6 @@ SCENARIO_KEYS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def no_default_faults(monkeypatch):
-    # A REPRO_FAULT_PROFILE default would be stamped onto every UE's config.
-    monkeypatch.setattr(parallel, "_default_faults", None)
-
-
 def asdict_config_to_dict(config):
     """The encoder as it was before it read the fields directly."""
     encoded = dataclasses.asdict(config)
@@ -83,6 +77,15 @@ def chaos_shard():
 class TestPinnedKeys:
     @pytest.mark.parametrize("fleet,key", SHARD_KEYS)
     def test_fleet_shard_key(self, fleet, key):
+        assert fleet_shard_key(build_shards(fleet)[0]) == key
+
+    @pytest.mark.parametrize("fleet,key", SHARD_KEYS)
+    def test_default_fault_profile_leaves_fleet_keys_alone(self, monkeypatch, fleet, key):
+        # A fleet's faults come from its FleetConfig alone, never from the
+        # process-wide default that scenario sweeps stamp on.
+        for name in ("_default_workers", "_default_cache", "_default_faults"):
+            monkeypatch.setattr(parallel, name, getattr(parallel, name))
+        parallel.configure(fault_profile="chaos")
         assert fleet_shard_key(build_shards(fleet)[0]) == key
 
     @pytest.mark.parametrize("config,key", SCENARIO_KEYS)

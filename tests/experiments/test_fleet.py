@@ -6,9 +6,11 @@ import pytest
 
 from repro.experiments.fleet import (
     ARCHETYPES,
+    FLEET_CODEC_VERSION,
     FleetAccumulator,
     FleetConfig,
     _simulate_shard_to_dict,
+    _usable,
     assign_ues,
     build_shards,
     fleet_shard_key,
@@ -291,6 +293,17 @@ class TestRunFleet:
         result = run_fleet(FAST, workers=0, cache=cache, report=report)
         assert (report.simulated, report.cached) == (1, 3)
         assert aggregate_json(result) == aggregate_json(reference)
+
+    def test_entry_that_parses_but_is_damaged_is_dropped(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        reference = run_fleet(FAST, workers=0, cache=cache)
+        key = fleet_shard_key(build_shards(FAST)[2])
+        cache.put_data(key, {"version": FLEET_CODEC_VERSION, "shard_index": 2})
+        report = RunReport()
+        result = run_fleet(FAST, workers=2, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 3)
+        assert aggregate_json(result) == aggregate_json(reference)
+        assert cache.get_data(key, _usable)["ues"]  # re-published whole
 
     def test_shard_size_one_and_uneven_tail(self):
         """Populations that don't divide evenly still cover every UE."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import parallel
 from repro.experiments.parallel import (
+    CODEC_VERSION,
     ResultCache,
     RunReport,
     config_from_dict,
@@ -28,6 +29,16 @@ FAST = [
     GAMING_DL.with_(n_cycles=2, cycle_duration_s=15.0, seed=9, outage_eta=0.1),
     GAMING_DL.with_(n_cycles=2, cycle_duration_s=15.0, seed=10, base_loss=0.08),
 ]
+
+
+#: Cache entries that parse but are damaged, made from a good entry.
+DAMAGED = {
+    "no-fields": lambda entry: {"version": CODEC_VERSION},
+    "stale-version": lambda entry: {**entry, "version": CODEC_VERSION - 1},
+    "empty": lambda entry: {},
+    "damaged-row": lambda entry: {**entry, "usages": [{}]},
+    "wrong-type": lambda entry: {**entry, "metrics": 5},
+}
 
 
 def outcome_volumes(result):
@@ -133,11 +144,25 @@ class TestResultCache:
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         run_scenarios(FAST[:1], workers=0, cache=cache)
-        cache.path_for(FAST[0]).write_text("{ truncated garbage")
+        key = scenario_key(FAST[0])
+        cache.path_for_key(key).write_text("{ truncated garbage")
         report = RunReport()
         run_scenarios(FAST[:1], workers=0, cache=cache, report=report)
         assert report.simulated == 1  # re-simulated, file replaced
-        assert cache.get(FAST[0]) is not None
+        assert result_from_dict(cache.get_data(key)).config == FAST[0]
+
+    @pytest.mark.parametrize("damage", DAMAGED.values(), ids=list(DAMAGED))
+    def test_entry_that_parses_but_is_damaged_is_dropped(self, tmp_path, damage):
+        cache = ResultCache(tmp_path / "cache")
+        run_scenarios(FAST[:1], workers=0, cache=cache)
+        key = scenario_key(FAST[0])
+        entry = cache.get_data(key)
+        cache.put_data(key, damage(entry))
+        report = RunReport()
+        (result,) = run_scenarios(FAST[:1], workers=2, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 0)
+        assert result_to_dict(result) == entry
+        assert cache.get_data(key) == entry  # re-published whole
 
     def test_concurrent_publish_same_key_never_corrupts(self, tmp_path):
         """Racing writers stage through unique temp files.
@@ -166,6 +191,13 @@ class TestResultCache:
         assert final in payloads  # some complete payload, never a splice
         leftovers = list((tmp_path / "cache").glob("*.tmp"))
         assert leftovers == []
+
+    def test_get_data_drops_entries_the_check_rejects(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put_data("k", {"ok": 1})
+        assert cache.get_data("k", lambda data: data["ok"] == 1) == {"ok": 1}
+        assert cache.get_data("k", lambda data: False) is None
+        assert not cache.has("k")
 
     def test_get_data_drops_non_dict_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

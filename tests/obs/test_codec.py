@@ -12,9 +12,13 @@ import json
 import pytest
 
 from repro.experiments.parallel import (
+    CODEC_VERSION,
     ResultCache,
+    RunReport,
     result_from_dict,
     result_to_dict,
+    run_scenarios,
+    scenario_key,
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import WEBCAM_RTSP_UL
@@ -49,9 +53,9 @@ def test_codec_round_trip_is_bit_identical(result):
 
 def test_cache_round_trip_is_bit_identical(result, tmp_path):
     cache = ResultCache(tmp_path)
-    cache.put(CONFIG, result)
-    cached = cache.get(CONFIG)
-    assert cached is not None
+    key = scenario_key(CONFIG)
+    cache.put_data(key, result_to_dict(result))
+    cached = result_from_dict(cache.get_data(key))
     assert cached.metrics == result.metrics
     assert canon(cached.metrics) == canon(result.metrics)
 
@@ -60,10 +64,13 @@ def test_pre_metrics_cache_entry_is_a_miss(result, tmp_path):
     """A cache file from before the codec carried metrics (version bump)
     must read as a miss and be evicted, never as a metrics-less hit."""
     cache = ResultCache(tmp_path)
-    path = cache.put(CONFIG, result)
+    path = cache.put_data(scenario_key(CONFIG), result_to_dict(result))
     stale = json.loads(path.read_text())
     stale["version"] = 2
     stale.pop("metrics", None)
     path.write_text(json.dumps(stale, separators=(",", ":")))
-    assert cache.get(CONFIG) is None
-    assert not path.exists()
+    report = RunReport()
+    (fresh,) = run_scenarios([CONFIG], workers=0, cache=cache, report=report)
+    assert (report.simulated, report.cached) == (1, 0)
+    assert canon(fresh.metrics) == canon(result.metrics)
+    assert json.loads(path.read_text())["version"] == CODEC_VERSION

@@ -6,7 +6,6 @@ baseline check only simulates scenarios whose config (or the codec)
 changed since the cache was filled.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -21,10 +20,8 @@ BASELINES_PATH = REPO_ROOT / "benchmarks" / "baselines.json"
 @pytest.fixture(scope="session", autouse=True)
 def golden_engine():
     """Use the benchmark cache (env-overridable) for golden runs."""
-    workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", str(CACHE_DIR))
-    if cache_dir.lower() in ("", "0", "off", "none"):
-        cache_dir = None
-    parallel.configure(workers=workers, cache_dir=cache_dir)
+    settings = parallel.env_settings(cache_dir=CACHE_DIR)
+    # The baselines pin faultless figures: no default fault profile.
+    parallel.configure(workers=settings["workers"], cache_dir=settings["cache_dir"])
     yield
-    parallel.configure(workers=0, cache_dir=os.environ.get("REPRO_CACHE_DIR") or None)
+    parallel.configure(**parallel.env_settings())

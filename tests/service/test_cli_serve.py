@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.cli import main
 
 
@@ -11,6 +12,9 @@ from repro.experiments.cli import main
 def _no_env_engine(monkeypatch):
     for var in ("REPRO_WORKERS", "REPRO_CACHE_DIR", "REPRO_FAULT_PROFILE"):
         monkeypatch.delenv(var, raising=False)
+    # main() configures the process-wide engine; later tests get it back.
+    for name in ("_default_workers", "_default_cache", "_default_faults"):
+        monkeypatch.setattr(parallel, name, getattr(parallel, name))
 
 
 FLEET_ARGS = ["--ues", "8", "--shard-size", "2", "--seed", "3", "--no-cache"]
@@ -90,3 +94,43 @@ class TestFleetViaService:
              "--out-dir", str(tmp_path)]
         )
         assert code == 2
+
+
+SMALL_ARGS = ["--ues", "4", "--shard-size", "2", "--seed", "7", "--cycles", "1",
+              "--cycle-seconds", "5", "--no-cache"]
+
+
+class TestFaultProfile:
+    """A fleet's faults come from its FleetConfig, which the aggregate
+    states: ``serve`` and ``fleet`` under one profile write the same one."""
+
+    def aggregate(self, command, out_dir, *extra):
+        args = [command, *SMALL_ARGS, *extra, "--out-dir", str(out_dir)]
+        if command == "serve":
+            args += ["--duration", "5"]
+        assert main(args) == 0
+        return json.loads((out_dir / f"{command}-aggregate.txt").read_text())
+
+    def test_served_fleet_declares_the_profile_it_ran(self, tmp_path):
+        fleet = self.aggregate("fleet", tmp_path / "fleet", "--fault-profile", "chaos")
+        served = self.aggregate("serve", tmp_path / "serve", "--fault-profile", "chaos")
+        assert served["config"]["fault_profile"] == "chaos"
+        assert served == fleet
+
+    def test_environment_profile_lands_in_the_fleet_config(self, tmp_path, monkeypatch):
+        flag = self.aggregate("fleet", tmp_path / "flag", "--fault-profile", "chaos")
+        monkeypatch.setenv("REPRO_FAULT_PROFILE", "chaos")
+        env = self.aggregate("fleet", tmp_path / "env")
+        assert env["config"]["fault_profile"] == "chaos"
+        assert env == flag
+
+
+class TestCacheOff:
+    @pytest.mark.parametrize("off", ["off", "OFF", "0", "none", ""])
+    def test_cache_dir_off_creates_no_directory(self, tmp_path, monkeypatch, off):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", off)
+        args = ["fleet", *SMALL_ARGS[:-1], "--no-manifest"]
+        assert main(args) == 0
+        assert main(["obs", "--list"]) == 0
+        assert list(tmp_path.iterdir()) == []

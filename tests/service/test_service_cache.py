@@ -2,7 +2,8 @@
 
 The service looks shard results up in the batch engine's
 content-addressed ``ResultCache``.  An entry that does not decode as a
-shard result is a miss (and is overwritten by the re-simulated result),
+shard result is dropped and read as a miss (the re-simulated result is
+published in its place),
 and resuming a killed service rebuilds its fold from the journal alone,
 writing nothing to the cache.
 """
@@ -66,7 +67,7 @@ class TestUnusableEntries:
         counters = service.metrics.snapshot().counters
         assert "service.cache.hit{tier=disk}" not in counters
         assert counters["service.cache.miss"] == 1
-        assert _usable(store.get_data(key))
+        assert store.get_data(key, _usable) is not None
 
         # The rewritten entry now serves a second service as a hit.
         again = ReconciliationService(disk_cache=store)

@@ -20,10 +20,16 @@ Each class here pins a bug that used to be latent:
 of claims that settle without waiting drains in a loop, not by
 recursion; one worker settles in admission order; and a worker lost to
 a failing rejection path does not stop the others.
+
+``TestFailedSettlement`` pins what a settlement that ends unsettled
+gives back: an ``internal-error`` used to keep its ref claimed, so every
+retry was rejected ``duplicate`` while a service resumed from the same
+journal settled it.
 """
 
 import pytest
 
+from repro.experiments.fleet import FleetConfig, build_shards, shard_to_dict
 from repro.netsim.events import EventLoop
 from repro.service import (
     ReconciliationService,
@@ -31,6 +37,7 @@ from repro.service import (
     ServiceConfig,
     SettlementLedger,
 )
+from repro.service import service as service_module
 
 
 class TestDrainAwareClose:
@@ -271,3 +278,130 @@ class TestWorkers:
         service.close()
         assert service.settled_count() == 5
         assert len(service.crashed_workers()) == 1
+
+
+(SHARD,) = build_shards(
+    FleetConfig(ues=2, shard_size=2, seed=3, n_cycles=1, cycle_duration_s=10.0)
+)
+
+
+def _shard_claim(claim_id: str) -> dict:
+    return {
+        "id": claim_id,
+        "vendor": "v0",
+        "kind": "shard",
+        "ref": "shard-0",
+        "shard": shard_to_dict(SHARD),
+    }
+
+
+@pytest.fixture
+def flaky_simulation(monkeypatch):
+    """The next shard simulation raises once (e.g. a worker hiccup);
+    calling the fixture's value re-arms it."""
+    simulate = service_module._simulate_shard_to_dict
+    armed = [True]
+
+    def flaky(data):
+        if armed[0]:
+            armed[0] = False
+            raise RuntimeError("transient simulation failure")
+        return simulate(data)
+
+    monkeypatch.setattr(service_module, "_simulate_shard_to_dict", flaky)
+    return lambda: armed.__setitem__(0, True)
+
+
+def _fail_then_retry(service: ReconciliationService) -> None:
+    """The first claim fails at t=0; its retry arrives at t=1."""
+    assert service.submit(_shard_claim("c0")).accepted
+    service.drain()
+    service.loop.schedule_at(1.0, service.submit, _shard_claim("c1"))
+    service.drain()
+
+
+class TestFailedSettlement:
+    def test_retry_after_internal_error_settles_live(self, flaky_simulation):
+        service = ReconciliationService(loop=EventLoop())
+        service.start()
+        _fail_then_retry(service)
+        service.close()
+        assert service.rejections == {"internal-error": 1}
+        assert service.is_settled("shard-0")
+        assert service.crashed_workers() == []
+
+    def test_failed_outcome_journal_still_releases_the_claim(
+        self, flaky_simulation, monkeypatch
+    ):
+        service = ReconciliationService(loop=EventLoop())
+        journal_outcome = service._journal_outcome
+        failures = []
+
+        def failing_once(claim, ref, reason):
+            if not failures:
+                failures.append(reason)
+                raise OSError("journal unavailable")
+            return journal_outcome(claim, ref, reason)
+
+        monkeypatch.setattr(service, "_journal_outcome", failing_once)
+        service.start()
+        assert service.submit(_shard_claim("c0")).accepted
+        service.drain()
+        assert failures == ["internal-error"]
+        assert len(service.crashed_workers()) == 1
+        assert service._ingest_t == {}
+        # The surviving worker settles the retry.
+        assert service.submit(_shard_claim("c1")).accepted
+        service.close()
+        assert service.is_settled("shard-0")
+
+    def test_live_ledger_equals_the_resumed_one_byte_for_byte(
+        self, tmp_path, flaky_simulation
+    ):
+        live_path = tmp_path / "live.jsonl"
+        live = ReconciliationService(loop=EventLoop(), ledger=SettlementLedger(live_path))
+        live.start()
+        _fail_then_retry(live)
+        live.close()
+        live.ledger.close()
+
+        flaky_simulation()
+        killed_path = tmp_path / "killed.jsonl"
+        killed = ReconciliationService(
+            loop=EventLoop(), ledger=SettlementLedger(killed_path)
+        )
+        killed.start()
+        assert killed.submit(_shard_claim("c0")).accepted
+        killed.drain()
+        # The process dies right after journalling the unclaimed outcome.
+        assert killed.ledger.journal_records()[-1]["type"] == "unclaimed"
+        killed.ledger.close()
+        resumed = ReconciliationService.resume(killed_path, loop=EventLoop())
+        resumed.start()
+        resumed.loop.schedule_at(1.0, resumed.submit, _shard_claim("c1"))
+        resumed.drain()
+        resumed.close()
+        resumed.ledger.close()
+
+        assert resumed.is_settled("shard-0")
+        assert killed_path.read_bytes() == live_path.read_bytes()
+
+    def test_duplicate_of_an_in_flight_claim_keeps_its_ref(self):
+        service = ReconciliationService(
+            loop=EventLoop(), config=ServiceConfig(workers=2, probe_service_time_s=0.01)
+        )
+        service.start()
+
+        def probe(claim_id: str) -> dict:
+            return {"id": claim_id, "vendor": "v0", "kind": "probe", "ref": "r"}
+
+        assert service.submit(probe("p0")).accepted
+        # The second worker rejects the twin at once; p0 is still settling.
+        assert service.submit(probe("p1")).accepted
+        assert service.rejections == {"duplicate": 1}
+        assert "r" in service._claimed_refs
+        assert service.submit(probe("p2")).accepted
+        service.close()
+        assert service.rejections == {"duplicate": 2}
+        assert service.is_settled("r")
+        assert service.settled_count() == 1
