@@ -34,7 +34,7 @@ from typing import Callable
 
 from ..cellular import HandoverConfig, QuotaPolicy, RadioProfile
 from ..core import DataPlan
-from ..netsim.faults import FAULT_PROFILES, FaultSchedule
+from ..netsim.faults import FaultSchedule
 from ..obs import MetricsSnapshot
 from ..workloads import iperf_profile
 from .parallel import (
@@ -107,7 +107,7 @@ class FleetConfig:
     quota_bytes: int | None = None
     #: Canned fault profile (a :data:`~repro.netsim.faults.FAULT_PROFILES`
     #: name) stamped onto every UE's config; the fleet's only fault source
-    #: (None = keep each archetype's own schedule).
+    #: (None, or the empty ``none``, keeps each archetype's own schedule).
     fault_profile: str | None = None
 
     def __post_init__(self) -> None:
@@ -187,6 +187,9 @@ def assign_ues(fleet: FleetConfig) -> list[UeSpec]:
         running += w
         cumulative.append(running)
     cumulative[-1] = 1.0  # guard the float tail
+    # The empty ``none`` profile stamps nothing, so such a fleet shares
+    # its shard keys with the same fleet run without a profile.
+    faults = resolve_fault_profile(fleet.fault_profile)
     ues = []
     for index in range(fleet.ues):
         registry = StreamRegistry(fleet.seed).fork(f"ue:{index}")
@@ -205,8 +208,8 @@ def assign_ues(fleet: FleetConfig) -> list[UeSpec]:
             overrides["handover_x2"] = fleet.handover_x2
         if fleet.quota_bytes is not None:
             overrides["quota_bytes"] = fleet.quota_bytes
-        if fleet.fault_profile is not None:
-            overrides["faults"] = FAULT_PROFILES[fleet.fault_profile]
+        if faults is not None:
+            overrides["faults"] = faults
         ues.append(
             UeSpec(
                 index=index,
@@ -585,14 +588,38 @@ class FleetAccumulator:
 # ------------------------------------------------------------------ engine
 
 
+#: The fields of a per-UE row (:func:`shard_result_to_dict`): the fold
+#: reads them, and a service's ``ue`` settlement line carries them all.
+_UE_ROW_FIELDS = frozenset(
+    ("index", "archetype", "flow_id", "cycles", "bitrate_bps", "mean_gap_mb_hr",
+     "mean_epsilon", "mean_rounds", "converged_cycles")
+)
+
+
+def _usable_row(row) -> bool:
+    return (
+        isinstance(row, dict)
+        and row.keys() == _UE_ROW_FIELDS
+        and isinstance(row["archetype"], str)
+        and isinstance(row["cycles"], int)
+        and isinstance(row["mean_gap_mb_hr"], dict)
+        and isinstance(row["mean_epsilon"], dict)
+        and isinstance(row["mean_rounds"], dict)
+        and isinstance(row["converged_cycles"], dict)
+    )
+
+
 def _usable(data: dict) -> bool:
-    """Shape-check a cached shard result (damaged entries are misses)."""
+    """Shape-check a cached shard result, down to each per-UE row's
+    fields (damaged entries are misses)."""
+    ues = data.get("ues")
     return (
         data.get("version") == FLEET_CODEC_VERSION
         and data.get("codec") == CODEC_VERSION
-        and isinstance(data.get("ues"), list)
+        and isinstance(ues, list)
         and isinstance(data.get("metrics"), dict)
-        and "shard_index" in data
+        and isinstance(data.get("shard_index"), int)
+        and all(map(_usable_row, ues))
     )
 
 

@@ -445,18 +445,17 @@ def close_sessions(sessions: list[UeSession]) -> None:
     """Tear down a finished simulation of UE sessions that share one network.
 
     Closes the sessions' own wiring, the network's
-    (:meth:`~repro.cellular.CellularNetwork.close`), the loop's queued
-    events and the metrics spans.  That breaks every reference cycle the
-    graph holds, so reference counting frees it as soon as its last user
-    lets go.  Results already built stay valid; the sessions and the
-    network cannot run again.
+    (:meth:`~repro.cellular.CellularNetwork.close`) and the loop's queued
+    events.  That breaks every reference cycle the graph holds (the
+    metrics spans hold none), so reference counting frees it as soon as
+    its last user lets go.  Results already built stay valid; the
+    sessions and the network cannot run again.
     """
     network = sessions[0].network
     for session in sessions:
         session.close()
     network.close()
     network.loop.close()
-    network.metrics.close()
 
 
 class FleetShardRunner:

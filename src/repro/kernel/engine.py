@@ -128,7 +128,6 @@ from ..cellular.qos import scheduler_priority
 from ..cellular.radio import GOOD_RSS_DBM, OUTAGE_FLOOR_DBM, RadioChannel, RssSample
 from ..cellular.rrc import HardwareModem, RrcConnectionManager, RrcState
 from ..netsim.packet import Direction, Packet
-from ..obs.spans import Span
 
 __all__ = ["LaneSpec", "run_lane", "SETTLE_S"]
 
@@ -1476,23 +1475,16 @@ class _Lane:
             policer._last = self.p_last
             self.spgw._policers[spec.flow_id] = policer
 
-        # Replay radio.outage spans into the runner's recorder.  The
-        # recorder's _close reads the (stale) clock and would reject
-        # ends before "now", so closed ends are assigned directly; a
-        # still-open outage stays open with the recorder's depth counter
-        # elevated, exactly as live recording would leave it mid-outage.
+        # Replay radio.outage spans into the runner's recorder with their
+        # mirrored times (closing one would read the stale loop clock); a
+        # still-open outage stays open with the recorder's open count
+        # raised, exactly as live recording would leave it mid-outage.
         rec = spec.span_recorder
         if rec is not None:
             for open_t, close_t in self.spans:
-                span = Span("radio.outage", open_t, rec._open, rec)
-                rec._open += 1
-                rec._spans.append(span)
-                span.end = close_t
-                rec._open -= 1
+                rec.record("radio.outage", open_t, close_t)
             if self.span_open_t is not None:
-                span = Span("radio.outage", self.span_open_t, rec._open, rec)
-                rec._open += 1
-                rec._spans.append(span)
+                rec.record("radio.outage", self.span_open_t)
 
         # The absorbed construction-time events were replayed on the
         # wheel; cancel the loop originals so the caller's settle

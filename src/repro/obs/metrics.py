@@ -352,11 +352,6 @@ class MetricsRegistry:
         """Open a span manually; close with ``handle.close()``."""
         return self._spans.open(metric_key(name, labels))
 
-    def close(self) -> None:
-        """Unlink the spans from their recorder once the run is over;
-        :meth:`snapshot` still works, opening or closing spans does not."""
-        self._spans.close()
-
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> MetricsSnapshot:

@@ -12,17 +12,28 @@ from __future__ import annotations
 from typing import Callable
 
 
+class _SpanState:
+    """What a span shares with its recorder: the clock and the number of
+    spans open.  It holds no span, so spans and recorder form no cycle."""
+
+    __slots__ = ("clock", "open")
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self.clock = clock
+        self.open = 0
+
+
 class Span:
     """One open (or closed) interval; close at most once."""
 
-    __slots__ = ("name", "start", "end", "depth", "_recorder")
+    __slots__ = ("name", "start", "end", "depth", "_state")
 
-    def __init__(self, name: str, start: float, depth: int, recorder: "SpanRecorder") -> None:
+    def __init__(self, name: str, start: float, depth: int, state: _SpanState) -> None:
         self.name = name
         self.start = start
         self.end: float | None = None
         self.depth = depth
-        self._recorder = recorder
+        self._state = state
 
     @property
     def open(self) -> bool:
@@ -37,7 +48,12 @@ class Span:
     def close(self) -> None:
         """Close the span at the recorder's current clock (idempotent)."""
         if self.end is None:
-            self._recorder._close(self)
+            state = self._state
+            end = state.clock()
+            if end < self.start:
+                raise ValueError(f"span {self.name!r} would close before it opened")
+            self.end = end
+            state.open -= 1
 
     def to_dict(self, close_open_at: float | None = None) -> dict:
         """JSON-safe encoding; optionally snapshot an open span as closed."""
@@ -52,26 +68,33 @@ class Span:
 
 
 class SpanRecorder:
-    """Creates and archives spans against one clock callable."""
+    """Creates and archives spans against one clock callable.
+
+    A span holds only the clock and the open-span count it shares with
+    the recorder, never the recorder, so a recorder and its spans need
+    no teardown: they are freed with the last reference to them.
+    """
 
     def __init__(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
+        self._state = _SpanState(clock)
         self._spans: list[Span] = []
-        self._open = 0
 
     def open(self, name: str) -> Span:
         """Open a span now; records are kept in open order."""
-        span = Span(name, self._clock(), self._open, self)
-        self._open += 1
+        return self.record(name, self._state.clock())
+
+    def record(self, name: str, start: float, end: float | None = None) -> Span:
+        """Archive a span opened at ``start``: closed at ``end`` when given,
+        else still open.  A closed one leaves the open count unchanged, so
+        a replay of spans from another clock nests as live recording would."""
+        state = self._state
+        span = Span(name, start, state.open, state)
+        if end is None:
+            state.open += 1
+        else:
+            span.end = end
         self._spans.append(span)
         return span
-
-    def _close(self, span: Span) -> None:
-        end = self._clock()
-        if end < span.start:
-            raise ValueError(f"span {span.name!r} would close before it opened")
-        span.end = end
-        self._open -= 1
 
     def span(self, name: str):
         """Context manager wrapper around :meth:`open`/:meth:`Span.close`."""
@@ -80,12 +103,6 @@ class SpanRecorder:
     def to_list(self, close_open_at: float | None = None) -> list[dict]:
         """All spans as dicts, in open order."""
         return [s.to_dict(close_open_at=close_open_at) for s in self._spans]
-
-    def close(self) -> None:
-        """Unlink every span from the recorder (a span holds its recorder,
-        so the pair is a cycle); an open span can no longer be closed."""
-        for span in self._spans:
-            span._recorder = None
 
 
 class _SpanContext:

@@ -122,31 +122,35 @@ class _ReplayDriver:
         # A resumed client must not reuse physical ids the dead run may
         # already have burned; the salt keeps id streams disjoint.
         self.id_salt = id_salt
-        self.decide = None
+        self.vendors = replay.vendors
+        self.injector = self.decide = None
         if replay.ingest_faults is not None:
-            self.decide = FaultInjector(
+            self.injector = FaultInjector(
                 self.loop,
                 StreamRegistry(fleet.seed).fork("service-replay"),
                 replay.ingest_faults,
-            ).decider(INGEST_POINT)
-        # ref -> pristine claim payload (every resubmission restarts from
-        # this, so a corruption fault never sticks past one submission).
-        self.payloads: dict[str, dict] = {}
-        self.refs: list[str] = []
-        for shard in build_shards(fleet):
-            ref = f"shard-{shard.index}"
-            self.refs.append(ref)
-            self.payloads[ref] = {
-                "ref": ref,
-                "vendor": f"vendor-{shard.index % replay.vendors}",
-                "kind": "shard",
-                "shard": shard_to_dict(shard),
-            }
+            )
+            self.decide = self.injector.decider(INGEST_POINT)
+        # ref -> shard; its claim payload is built at each submission, so
+        # a corruption fault never sticks past one and only claims in
+        # flight hold a payload.
+        self.shards = {f"shard-{shard.index}": shard for shard in build_shards(fleet)}
+        self.refs = list(self.shards)
 
     def fresh_id(self, ref: str) -> str:
         # Globally unique physical id per submission; the logical
         # identity rides in "ref".
         return f"{ref}#{self.id_salt}{self.stats.submitted}"
+
+    def payload(self, ref: str) -> dict:
+        """A fresh claim for the logical claim ``ref``, without its id."""
+        shard = self.shards[ref]
+        return {
+            "ref": ref,
+            "vendor": f"vendor-{shard.index % self.vendors}",
+            "kind": "shard",
+            "shard": shard_to_dict(shard),
+        }
 
     def mangle(self, claim: dict) -> dict:
         bad = dict(claim)
@@ -162,7 +166,7 @@ class _ReplayDriver:
             return
         if attempt:
             stats.retries += 1
-        claim = dict(self.payloads[ref])
+        claim = self.payload(ref)
         claim["id"] = self.fresh_id(ref)
         stats.submitted += 1
         action, delay = (None, 0.0) if self.decide is None else self.decide(loop.now())
@@ -216,6 +220,9 @@ class _ReplayDriver:
             self.service.drain()
 
     def finish(self, fleet: FleetConfig) -> FleetResult | None:
+        if self.injector is not None:
+            # Its cached decider refers back to it.
+            self.injector.close()
         unsettled = [ref for ref in self.refs if not self.service.is_settled(ref)]
         self.stats.dropped = len(unsettled)
         self.service.close()

@@ -211,6 +211,37 @@ class _CountingCache:
             self.disk.put_data(key, data)
 
 
+def _ledger_accumulator(ledger: SettlementLedger) -> FleetAccumulator:
+    """A fold that streams its shard and per-UE lines to ``ledger``.
+
+    The sinks hold the ledger, not the service, so a service and its
+    accumulator form no cycle; each looks ``ledger.write`` up per call.
+    """
+
+    def shard_line(data: dict) -> None:
+        ledger.write(
+            {"type": "shard", "index": int(data["shard_index"]), "ues": len(data["ues"])}
+        )
+
+    def ue_line(row: dict) -> None:
+        ledger.write({"type": "ue", **row})
+
+    return FleetAccumulator(ue_sink=ue_line, shard_sink=shard_line)
+
+
+def _without_frames(error: BaseException) -> BaseException:
+    """``error`` with its traceback, and those of the errors chained to
+    it, dropped: a traceback holds the frames that raised, and through
+    them the service that keeps the error."""
+    chain = [error]
+    while chain:
+        link = chain.pop()
+        if link is not None and link.__traceback__ is not None:
+            link.__traceback__ = None
+            chain += (link.__cause__, link.__context__)
+    return error
+
+
 def _parse_line(raw: bytes) -> tuple[str, dict]:
     """One ledger line as its text and record; ``ValueError`` unless the
     bytes are UTF-8 text holding one JSON object."""
@@ -262,56 +293,67 @@ class SettlementLedger:
     def resume(cls, path: str | Path) -> "SettlementLedger":
         """Reopen a crashed run's ledger for appending.
 
-        Reads the file as bytes and parses each line once: settlement
-        lines fill :attr:`lines`, journal lines :attr:`journal_lines`,
-        and their parsed records wait in :attr:`resumed_records` for
-        :meth:`ReconciliationService.resume` to replay.  A torn final
-        line (the partial write of the crash) is cut off the file in
-        place; a complete final record missing only its newline gets
-        one.  Replay-absorb mode is armed: the resumed service re-emits
-        the fold from the journal, and :meth:`write` verifies the
-        already-durable prefix byte-for-byte before new lines start
-        appending.
+        Reads the file one line at a time and parses each line once:
+        settlement lines fill :attr:`lines`, journal lines
+        :attr:`journal_lines`, and the journal's parsed records wait in
+        :attr:`resumed_records` for :meth:`ReconciliationService.resume`
+        to replay.  A torn final line (the partial write of the crash) is
+        cut off the file in place; a complete final record missing only
+        its newline gets one.  Replay-absorb mode is armed: the resumed
+        service re-emits the fold from the journal, and :meth:`write`
+        verifies the already-durable prefix byte-for-byte before new
+        lines start appending.
 
         A line anywhere but the tail that is not a UTF-8 JSON object
         raises ``ValueError`` naming its line number — a crash can only
         tear the last write.
         """
         path = Path(path)
-        data = path.read_bytes() if path.exists() else b""
-        chunks = data.split(b"\n")
-        tail = chunks.pop()
-        kept: list[tuple[str, dict]] = []
-        for number, chunk in enumerate(chunks, start=1):
-            try:
-                kept.append(_parse_line(chunk))
-            except ValueError as exc:
-                shown = chunk[:80].decode(errors="replace")
-                raise ValueError(
-                    f"ledger {path} corrupt at line {number}: {shown!r}"
-                ) from exc
         ledger = cls.__new__(cls)
         ledger.path = path
+        ledger.lines, ledger.journal_lines, ledger.resumed_records = [], [], []
+        intact = 0  # bytes of newline-terminated lines
+        tail = b""
+        if path.exists():
+            with path.open("rb") as fh:
+                for number, raw in enumerate(fh, start=1):
+                    if not raw.endswith(b"\n"):
+                        tail = raw
+                        break
+                    try:
+                        ledger._keep(*_parse_line(raw[:-1]))
+                    except ValueError as exc:
+                        shown = raw[:80].decode(errors="replace")
+                        raise ValueError(
+                            f"ledger {path} corrupt at line {number}: {shown!r}"
+                        ) from exc
+                    intact += len(raw)
         ledger._fh = path.open("a")
         if tail:
             # A complete JSON object missing only its newline survived
             # the crash intact; anything else is the torn write.
             try:
-                kept.append(_parse_line(tail))
+                parsed = _parse_line(tail)
             except ValueError:
-                ledger._fh.truncate(len(data) - len(tail))
+                ledger._fh.truncate(intact)
             else:
+                ledger._keep(*parsed)
                 ledger._fh.write("\n")
         ledger._fh.flush()
         os.fsync(ledger._fh.fileno())
-        ledger.lines = [line for line, record in kept if "seq" in record]
-        ledger.journal_lines = [line for line, record in kept if "jseq" in record]
-        ledger.resumed_records = [record for _, record in kept if "jseq" in record]
         ledger._seq = 0
         ledger._jseq = len(ledger.journal_lines)
         ledger._replay_until = len(ledger.lines)
         ledger._closed = False
         return ledger
+
+    def _keep(self, line: str, record: dict) -> None:
+        """File one durable line read back by :meth:`resume`."""
+        if "seq" in record:
+            self.lines.append(line)
+        if "jseq" in record:
+            self.journal_lines.append(line)
+            self.resumed_records.append(record)
 
     def journal_records(self) -> list[dict]:
         """Parsed journal records, oldest first."""
@@ -418,9 +460,7 @@ class ReconciliationService:
         self.vendor_keys = dict(vendor_keys or {})
         self.buckets: dict[str, TokenBucket] = {}
         self.rejections: dict[str, int] = {}
-        self.accumulator = FleetAccumulator(
-            ue_sink=self._emit_ue, shard_sink=self._emit_shard
-        )
+        self.accumulator = _ledger_accumulator(self.ledger)
         self.pool = (
             SimProcessPool(self.config.pool_workers)
             if self.config.pool_workers
@@ -487,7 +527,7 @@ class ReconciliationService:
 
     def crashed_workers(self) -> list[Exception]:
         """One error per worker lost because its ``internal-error`` path
-        itself raised (should stay empty)."""
+        itself raised (should stay empty); kept without tracebacks."""
         return list(self._crashed)
 
     @classmethod
@@ -672,7 +712,7 @@ class ReconciliationService:
                         claim, claim.get("ref", claim.get("id")), "internal-error"
                     )
                 except Exception as crash:
-                    self._crashed.append(crash)
+                    self._crashed.append(_without_frames(crash))
                     return
             else:
                 if isinstance(wait, Future):
@@ -839,18 +879,6 @@ class ReconciliationService:
         self._mark_settled(ref, "poc", claim["id"])
 
     # ----------------------------------------------------------- settlement
-
-    def _emit_shard(self, data: dict) -> None:
-        self.ledger.write(
-            {
-                "type": "shard",
-                "index": int(data["shard_index"]),
-                "ues": len(data["ues"]),
-            }
-        )
-
-    def _emit_ue(self, row: dict) -> None:
-        self.ledger.write({"type": "ue", **row})
 
     def is_settled(self, ref: str) -> bool:
         """Whether the logical claim ``ref`` has settled."""

@@ -1,5 +1,6 @@
 """Fleet engine: assignment, sharding, streaming aggregation, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -119,6 +120,26 @@ class TestAssignment:
         assert fleet_shard_key(build_shards(chaotic)[0]) != fleet_shard_key(
             build_shards(FAST)[0]
         )
+
+    def test_none_profile_reuses_the_profileless_shards(self):
+        """The empty ``none`` profile stamps nothing on the UEs, so its
+        shards hit the cache entries of the same fleet run without one."""
+        quiet = FleetConfig(
+            ues=4, shard_size=2, seed=3, n_cycles=1, cycle_duration_s=5.0,
+        )
+        none = dataclasses.replace(quiet, fault_profile="none")
+        shards, none_shards = build_shards(quiet), build_shards(none)
+        assert [fleet_shard_key(s) for s in shards] == [
+            fleet_shard_key(s) for s in none_shards
+        ]
+        assert [_simulate_shard_to_dict(shard_to_dict(s)) for s in shards] == [
+            _simulate_shard_to_dict(shard_to_dict(s)) for s in none_shards
+        ]
+        plain = run_fleet(quiet, workers=0, cache=False).to_dict()
+        declared = run_fleet(none, workers=0, cache=False).to_dict()
+        assert declared["config"].pop("fault_profile") == "none"
+        assert plain["config"].pop("fault_profile") is None
+        assert declared == plain
 
 
 class TestShards:
@@ -304,6 +325,28 @@ class TestRunFleet:
         assert (report.simulated, report.cached) == (1, 3)
         assert aggregate_json(result) == aggregate_json(reference)
         assert cache.get_data(key, _usable)["ues"]  # re-published whole
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: {},
+            lambda row: {k: v for k, v in row.items() if k != "converged_cycles"},
+            lambda row: {**row, "mean_gap_mb_hr": []},
+            lambda row: {**row, "archetype": None},
+        ],
+        ids=["empty", "missing-field", "list-for-dict", "no-archetype"],
+    )
+    def test_entry_with_damaged_rows_is_dropped(self, tmp_path, damage):
+        cache = ResultCache(tmp_path / "cache")
+        reference = run_fleet(FAST, workers=0, cache=cache)
+        key = fleet_shard_key(build_shards(FAST)[2])
+        entry = cache.get_data(key, _usable)
+        cache.put_data(key, {**entry, "ues": [damage(row) for row in entry["ues"]]})
+        report = RunReport()
+        result = run_fleet(FAST, workers=0, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 3)
+        assert aggregate_json(result) == aggregate_json(reference)
+        assert cache.get_data(key, _usable) == entry  # re-published whole
 
     def test_shard_size_one_and_uneven_tail(self):
         """Populations that don't divide evenly still cover every UE."""

@@ -2,7 +2,7 @@
 
 ``simulate_shard`` and ``run_scenario`` close what the simulation built
 (the loop's queued events, the network's wiring, the sessions' fault
-pipes, the metrics spans), so once the caller drops the result,
+pipes; the metrics spans hold no cycle), so once the caller drops the result,
 reference counting frees the whole simulation: the cyclic collector
 finds nothing left.
 """

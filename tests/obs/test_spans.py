@@ -58,6 +58,19 @@ class TestSpanRecorder:
         with pytest.raises(ValueError):
             span.close()
 
+    def test_recorded_spans_nest_like_live_ones(self):
+        """``record`` replays spans timed on another clock."""
+        rec = SpanRecorder(FakeClock())
+        rec.record("closed", 1.0, 2.0)
+        still_open = rec.record("open", 3.0)
+        rec.record("inside", 4.0, 5.0)
+        assert rec.to_list(close_open_at=6.0) == [
+            {"name": "closed", "start": 1.0, "end": 2.0, "depth": 0},
+            {"name": "open", "start": 3.0, "end": 6.0, "depth": 0},
+            {"name": "inside", "start": 4.0, "end": 5.0, "depth": 1},
+        ]
+        assert still_open.open
+
     def test_to_list_snapshots_open_spans(self):
         clock = FakeClock()
         rec = SpanRecorder(clock)

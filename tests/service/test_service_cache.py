@@ -12,6 +12,7 @@ import json
 
 from repro.experiments.fleet import (
     FleetConfig,
+    _simulate_shard_to_dict,
     _usable,
     build_shards,
     fleet_shard_key,
@@ -76,6 +77,26 @@ class TestUnusableEntries:
         again.drain()
         assert again.report.cached == 1
         assert (again.cache.hits_disk, again.cache.misses) == (1, 0)
+
+    def test_entry_with_damaged_rows_is_a_miss_and_is_overwritten(self, tmp_path):
+        fleet = FleetConfig(ues=2, shard_size=2, seed=3, n_cycles=1, cycle_duration_s=10.0)
+        (shard,) = build_shards(fleet)
+        key = fleet_shard_key(shard)
+        store = ResultCache(tmp_path)
+        good = _simulate_shard_to_dict(shard_to_dict(shard))
+        store.put_data(key, {**good, "ues": [{}]})  # passes the top-level shape
+
+        service = ReconciliationService(disk_cache=store)
+        service.start()
+        claim = {"id": "s0", "vendor": "v", "kind": "shard", "shard": shard_to_dict(shard)}
+        assert service.submit(claim).accepted
+        service.close()
+
+        assert service.is_settled("s0")
+        assert service.rejections == {}
+        assert service.report.simulated == 1
+        assert (service.cache.hits_disk, service.cache.misses) == (0, 1)
+        assert store.get_data(key, _usable) == good
 
 
 class TestResumeWritesNoCache:
