@@ -15,6 +15,7 @@ at the source cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..netsim.events import EventLoop
@@ -33,8 +34,10 @@ class HandoverConfig:
     interval_jitter: float = 0.3  # relative spread of the interval
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0 or self.interruption_s <= 0:
-            raise ValueError("handover interval and interruption must be positive")
+        if not (0 < self.interval_s < math.inf and 0 < self.interruption_s < math.inf):
+            raise ValueError(
+                "handover interval and interruption must be positive and finite"
+            )
 
 
 class HandoverProcess:

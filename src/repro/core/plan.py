@@ -17,6 +17,7 @@ as honest claims do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -58,8 +59,10 @@ class DataPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"charging weight c must be in [0, 1], got {self.c}")
-        if self.cycle_duration_s <= 0:
-            raise ValueError(f"cycle duration must be positive, got {self.cycle_duration_s}")
+        if not 0 < self.cycle_duration_s < math.inf:
+            raise ValueError(
+                f"cycle duration must be positive and finite, got {self.cycle_duration_s}"
+            )
 
     def charge(self, x_e: float, x_o: float) -> float:
         """Negotiated charging volume for a claim pair (Algorithm 1 line 8)."""

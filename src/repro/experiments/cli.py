@@ -342,19 +342,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_engine(args) -> None:
-    """Apply --workers/--cache-dir/--no-cache/--fault-profile on top of
-    the env defaults; ``args.fault_profile`` then holds the profile in
-    force, which ``fleet`` and ``serve`` write into their FleetConfig."""
+    """Apply --workers/--cache-dir/--no-cache/--fault-profile/--kernel on
+    top of the env defaults; ``args.fault_profile`` then holds the profile
+    in force, which ``fleet`` and ``serve`` write into their FleetConfig.
+    Raises ``ValueError`` (a usage error) on a bad ``REPRO_*`` value."""
     import os
 
-    env = parallel.env_settings()
-    workers = env["workers"] if args.workers is None else args.workers
-    cache_dir = None if args.no_cache else args.cache_dir or env["cache_dir"]
-    args.fault_profile = args.fault_profile or env["fault_profile"]
+    from ..kernel import resolve_kernel
+
     if args.kernel is not None:
         # Runners (including worker processes) resolve the kernel from
         # this env var at simulate time.
         os.environ["REPRO_SIM_KERNEL"] = args.kernel
+    resolve_kernel()
+    env = parallel.env_settings()
+    workers = env["workers"] if args.workers is None else args.workers
+    cache_dir = None if args.no_cache else args.cache_dir or env["cache_dir"]
+    args.fault_profile = args.fault_profile or env["fault_profile"]
     parallel.configure(workers, cache_dir, args.fault_profile)
 
 
@@ -414,16 +418,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return _verify_ledger(args)
 
-    if args.command == "obs":
-        return _show_obs(args)
-
     try:
-        _configure_engine(args)
+        if args.command == "obs":
+            args.cache_dir = _default_cache_dir(args.cache_dir)
+        else:
+            _configure_engine(args)
         if args.command in ("fleet", "serve"):
             fleet_config = _fleet_config(args)
     except ValueError as exc:  # e.g. an unknown --fault-profile, --cycles 0
         print(str(exc), file=sys.stderr)
         return 2
+    if args.command == "obs":
+        return _show_obs(args)
     if args.command == "fleet":
         return _run_fleet(args, fleet_config)
     if args.command == "serve":
@@ -472,7 +478,11 @@ def _verify_ledger(args) -> int:
     except (SignatureError, OSError) as exc:
         print(f"cannot load keys: {exc}", file=sys.stderr)
         return 2
-    plan = DataPlan(c=args.c, cycle_duration_s=args.cycle_seconds)
+    try:
+        plan = DataPlan(c=args.c, cycle_duration_s=args.cycle_seconds)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     try:
         ledger = PocLedger.load(args.ledger, plan)
     except (ValueError, MessageError, OSError) as exc:
@@ -776,8 +786,9 @@ def _snapshot_from_file(path: Path) -> tuple[MetricsSnapshot, str]:
 
 
 def _show_obs(args) -> int:
-    """The ``repro obs`` subcommand: render per-layer accounting."""
-    cache_dir = _default_cache_dir(args.cache_dir)
+    """The ``repro obs`` subcommand: render per-layer accounting from
+    ``args.cache_dir``, as :func:`_default_cache_dir` resolved it."""
+    cache_dir = args.cache_dir
     where = f"under {cache_dir}" if cache_dir else "(REPRO_CACHE_DIR turns the cache off)"
 
     def cached(pattern: str) -> list[Path]:

@@ -117,6 +117,8 @@ class FleetConfig:
             raise ValueError(f"shard size must be >= 1, got {self.shard_size}")
         if self.n_cycles < 1:
             raise ValueError(f"fleet needs at least one cycle, got {self.n_cycles}")
+        if not math.isfinite(self.zipf_s):
+            raise ValueError(f"zipf exponent must be finite, got {self.zipf_s}")
         # The overrides land in every UE's config; building the objects
         # they configure applies those objects' own bounds up front,
         # instead of failing partway through the simulation.
@@ -588,41 +590,6 @@ class FleetAccumulator:
 # ------------------------------------------------------------------ engine
 
 
-#: The fields of a per-UE row (:func:`shard_result_to_dict`): the fold
-#: reads them, and a service's ``ue`` settlement line carries them all.
-_UE_ROW_FIELDS = frozenset(
-    ("index", "archetype", "flow_id", "cycles", "bitrate_bps", "mean_gap_mb_hr",
-     "mean_epsilon", "mean_rounds", "converged_cycles")
-)
-
-
-def _usable_row(row) -> bool:
-    return (
-        isinstance(row, dict)
-        and row.keys() == _UE_ROW_FIELDS
-        and isinstance(row["archetype"], str)
-        and isinstance(row["cycles"], int)
-        and isinstance(row["mean_gap_mb_hr"], dict)
-        and isinstance(row["mean_epsilon"], dict)
-        and isinstance(row["mean_rounds"], dict)
-        and isinstance(row["converged_cycles"], dict)
-    )
-
-
-def _usable(data: dict) -> bool:
-    """Shape-check a cached shard result, down to each per-UE row's
-    fields (damaged entries are misses)."""
-    ues = data.get("ues")
-    return (
-        data.get("version") == FLEET_CODEC_VERSION
-        and data.get("codec") == CODEC_VERSION
-        and isinstance(ues, list)
-        and isinstance(data.get("metrics"), dict)
-        and isinstance(data.get("shard_index"), int)
-        and all(map(_usable_row, ues))
-    )
-
-
 def run_fleet(
     fleet: FleetConfig,
     workers: int | None = None,
@@ -645,8 +612,7 @@ def run_fleet(
     report = report if report is not None else RunReport()
     accumulator = FleetAccumulator(ue_sink=ue_sink)
     for data in cached_results(
-        _simulate_shard_to_dict, shard_to_dict, shards, keys, _usable,
-        workers, cache, report,
+        _simulate_shard_to_dict, shard_to_dict, shards, keys, workers, cache, report
     ):
         accumulator.add(data)
     return accumulator.finalize(fleet, report)

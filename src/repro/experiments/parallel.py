@@ -19,11 +19,13 @@ depends on nothing outside its config.  This module exploits both facts:
   scenarios whose config (or the codec) changed; everything else is a
   cache hit.  Invalidation is by key: any config field change, or a bump
   of :data:`CODEC_VERSION`, produces a new key and the stale entry is
-  simply never read again.
+  simply never read again; an entry whose bytes fail its sha256 digest
+  is dropped and re-simulated.
 
-Module-level defaults (set by :func:`configure`, seeded from
-:func:`env_settings`) let the CLI and the benchmark harness opt whole
-sweeps in without threading options through every figure function.
+Module-level defaults (set by :func:`configure`, or read from
+:func:`env_settings` on a sweep's first use) let the CLI and the
+benchmark harness opt whole sweeps in without threading options through
+every figure function.
 """
 
 from __future__ import annotations
@@ -217,14 +219,29 @@ def scenario_key(config: ScenarioConfig) -> str:
 # ------------------------------------------------------------------- cache
 
 
+#: A cache entry is one JSON object: ``{"sha256":"<hex>"`` and then the
+#: payload's members (``,"a":1}``, or ``}`` for an empty payload).  The
+#: digest is the sha256 of the entry's key followed by those bytes.
+_DIGEST_HEAD = b'{"sha256":"'
+_PAYLOAD_AT = len(_DIGEST_HEAD) + 64 + 1  # past the hex digest and its quote
+
+
+def _entry_head(key: str, payload: bytes | memoryview) -> bytes:
+    digest = hashlib.sha256(key.encode())
+    digest.update(payload)
+    return _DIGEST_HEAD + digest.hexdigest().encode() + b'"'
+
+
 class ResultCache:
     """On-disk run results, content-addressed by a caller-supplied key.
 
     One JSON file per entry under ``directory``; scenario sweeps key
     entries with :func:`scenario_key`, the fleet engine and the service
-    with the shard key.  :meth:`get_data` drops an entry that does not
-    parse, is not a dict or fails the caller's codec check, and reads it
-    as a miss, so a damaged cache can never poison a sweep.
+    with the shard key.  :meth:`get_data` serves an entry only when its
+    sha256 digest matches its key and bytes; any other entry (damaged,
+    another key's, or written without a digest) is dropped and read as a
+    miss, so a damaged cache can never poison a sweep.  Keys embed the
+    codec versions, so an entry that passes is what the codec wrote.
 
     Publishing is concurrency-safe: each writer stages through its own
     unique temp file (pid + uuid) in the cache directory and atomically
@@ -243,30 +260,33 @@ class ResultCache:
         """Cheap existence probe (no parse; the entry may still be corrupt)."""
         return self.path_for_key(key).is_file()
 
-    def get_data(
-        self, key: str, usable: Callable[[dict], bool] | None = None
-    ) -> dict | None:
-        """Load one entry's decoded JSON, or None (and drop it) if it does
-        not parse, is not a dict or fails ``usable``, the codec's check."""
+    def get_data(self, key: str) -> dict | None:
+        """Load one entry's payload, or None (and drop the entry) unless its
+        digest matches its key and the bytes read."""
         path = self.path_for_key(key)
         try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (ValueError, OSError):
-            data = None
-        if isinstance(data, dict) and (usable is None or usable(data)):
+            raw = path.read_bytes()
+        except OSError:  # missing or unreadable
+            raw = b""
+        # A view, not a copy: extra copies of each read raise peak RSS.
+        if raw[:_PAYLOAD_AT] == _entry_head(key, memoryview(raw)[_PAYLOAD_AT:]):
+            data = json.loads(raw)
+            del data["sha256"]
             return data
         path.unlink(missing_ok=True)
         return None
 
     def put_data(self, key: str, data: dict) -> Path:
         """Atomically publish one entry via a writer-unique temp file."""
+        if "sha256" in data:
+            raise ValueError("a cached payload cannot have a 'sha256' member")
         path = self.path_for_key(key)
         self.directory.mkdir(parents=True, exist_ok=True)
+        members = json.dumps(data, separators=(",", ":")).encode()
+        payload = b"," + members[1:] if data else b"}"
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
         try:
-            tmp.write_text(json.dumps(data, separators=(",", ":")))
+            tmp.write_bytes(_entry_head(key, payload) + payload)
             tmp.replace(path)  # atomic publish: readers never see partial JSON
         finally:
             tmp.unlink(missing_ok=True)
@@ -287,21 +307,32 @@ class RunReport:
 _default_workers = 0
 _default_cache: ResultCache | None = None
 _default_faults: FaultSchedule | None = None
+#: True until :func:`configure` runs: a sweep then reads the defaults from
+#: the environment on first use, not at import, so a bad value raises
+#: where the caller can report it.
+_from_env = True
 
 
 def env_settings(cache_dir: str | Path | None = None) -> dict:
     """:func:`configure` keywords from ``REPRO_WORKERS``, ``REPRO_FAULT_PROFILE``
     and ``REPRO_CACHE_DIR`` (unset: ``cache_dir``; ``off``/``0``/``none``/empty:
-    no cache)."""
+    no cache).  Raises ``ValueError`` naming a variable with a bad value."""
     env_cache = os.environ.get("REPRO_CACHE_DIR")
     if env_cache is not None:
         off = env_cache.strip().lower() in ("", "0", "off", "none")
         cache_dir = None if off else env_cache
-    return {
-        "workers": int(os.environ.get("REPRO_WORKERS") or 0),
-        "cache_dir": cache_dir,
-        "fault_profile": os.environ.get("REPRO_FAULT_PROFILE") or None,
-    }
+    workers = os.environ.get("REPRO_WORKERS") or "0"
+    profile = os.environ.get("REPRO_FAULT_PROFILE") or None
+    try:
+        workers = int(workers)
+    except ValueError:
+        raise ValueError(f"REPRO_WORKERS={workers!r} is not a whole number") from None
+    if profile is not None and profile not in FAULT_PROFILES:
+        raise ValueError(
+            f"REPRO_FAULT_PROFILE={profile!r} is not a fault profile "
+            f"(know {', '.join(FAULT_PROFILES)})"
+        )
+    return {"workers": workers, "cache_dir": cache_dir, "fault_profile": profile}
 
 
 def resolve_fault_profile(profile: FaultSchedule | str | None) -> FaultSchedule | None:
@@ -331,22 +362,28 @@ def configure(
     so chaos runs occupy distinct cache entries; a fleet's faults come
     from ``FleetConfig.fault_profile`` alone.  Called by the CLI
     (``--workers``/``--cache-dir``/``--fault-profile``) and the benchmark
-    harness; initial values come from :func:`env_settings`.
+    harness; until it is, a sweep's first use calls it with
+    :func:`env_settings`.
     """
-    global _default_workers, _default_cache, _default_faults
+    global _default_workers, _default_cache, _default_faults, _from_env
+    _from_env = False
     _default_workers = int(workers) if workers is not None else 0
     _default_cache = ResultCache(cache_dir) if cache_dir else None
     _default_faults = resolve_fault_profile(fault_profile)
 
 
+def _env_defaults() -> None:
+    """Read the defaults from the environment unless :func:`configure` ran."""
+    if _from_env:
+        configure(**env_settings())
+
+
 def apply_default_faults(config: ScenarioConfig) -> ScenarioConfig:
     """Stamp the configured default fault schedule onto a plain config."""
+    _env_defaults()
     if _default_faults is None or config.faults is not None:
         return config
     return config.with_(faults=_default_faults)
-
-
-configure(**env_settings())
 
 
 def cached_results(
@@ -354,19 +391,19 @@ def cached_results(
     encode: Callable[[object], dict],
     specs: Sequence,
     keys: Sequence[str],
-    usable: Callable[[dict], bool],
     workers: int | None,
     cache: ResultCache | None | bool,
     report: RunReport | None,
 ) -> Iterator[dict]:
     """Yield every spec's result dict, in input order, counted into ``report``.
 
-    Cache hits are served under ``usable``; misses run
+    Intact cache entries are served as they are; misses run
     ``simulate(encode(spec))`` on one process pool, or inline when
     ``workers`` ≤ 1, on a single miss or for an entry found damaged, and
     each is published before it is yielded.  ``cache=True`` uses the
     configured default cache (possibly none), ``None``/``False`` none.
     """
+    _env_defaults()
     cache = _default_cache if cache is True else cache or None
     n_workers = _default_workers if workers is None else int(workers)
     report = report if report is not None else RunReport()
@@ -379,7 +416,7 @@ def cached_results(
         pooled = pool.map(simulate, [encode(specs[i]) for i in misses])
     try:
         for i, key in enumerate(keys):
-            data = cache.get_data(key, usable) if probed[i] else None
+            data = cache.get_data(key) if probed[i] else None
             if data is not None:
                 report.cached += 1
             else:
@@ -414,18 +451,7 @@ def run_scenarios(
     """
     configs = [apply_default_faults(config) for config in configs]
     keys = [scenario_key(config) for config in configs]
-    # A cached entry is usable when it decodes: a shape check would pass
-    # an entry with damaged rows.  The hit being yielded keeps its result.
-    hit: list = [None, None]
-
-    def decodes(data: dict) -> bool:
-        try:
-            hit[:] = data, result_from_dict(data)
-        except (ValueError, KeyError, TypeError, IndexError, AttributeError):
-            return False
-        return True
-
     results = cached_results(
-        _simulate_to_dict, config_to_dict, configs, keys, decodes, workers, cache, report
+        _simulate_to_dict, config_to_dict, configs, keys, workers, cache, report
     )
-    return [hit[1] if data is hit[0] else result_from_dict(data) for data in results]
+    return [result_from_dict(data) for data in results]

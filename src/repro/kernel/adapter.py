@@ -45,7 +45,10 @@ def resolve_kernel(explicit: str | None = None) -> str:
     """Resolve the kernel selection (explicit arg > env var > auto)."""
     kernel = explicit if explicit is not None else os.environ.get("REPRO_SIM_KERNEL", "auto")
     if kernel not in KERNELS:
-        raise ValueError(f"unknown simulation kernel {kernel!r}; expected one of {KERNELS}")
+        source = "" if explicit is not None else "REPRO_SIM_KERNEL="
+        raise ValueError(
+            f"unknown simulation kernel {source}{kernel!r}; expected one of {KERNELS}"
+        )
     return kernel
 
 

@@ -39,6 +39,7 @@ resumed along the way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,8 +82,10 @@ class ReplayConfig:
     ingest_faults: FaultSchedule | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"replay duration must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"replay duration must be positive and finite, got {self.duration_s}"
+            )
         if self.vendors < 1:
             raise ValueError(f"need at least one vendor, got {self.vendors}")
 

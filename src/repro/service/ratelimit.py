@@ -9,6 +9,8 @@ are bit-deterministic and replayable.
 
 from __future__ import annotations
 
+import math
+
 
 class TokenBucket:
     """Classic token bucket: ``rate_hz`` tokens/s, capped at ``capacity``.
@@ -22,10 +24,10 @@ class TokenBucket:
     __slots__ = ("rate_hz", "capacity", "tokens", "t_last")
 
     def __init__(self, rate_hz: float, capacity: float) -> None:
-        if rate_hz <= 0:
-            raise ValueError(f"refill rate must be positive, got {rate_hz}")
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not 0 < rate_hz < math.inf:
+            raise ValueError(f"refill rate must be positive and finite, got {rate_hz}")
+        if not 0 < capacity < math.inf:
+            raise ValueError(f"burst capacity must be positive and finite, got {capacity}")
         self.rate_hz = float(rate_hz)
         self.capacity = float(capacity)
         self.tokens = float(capacity)  # buckets start full: first claims pass

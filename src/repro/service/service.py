@@ -67,7 +67,6 @@ from ..experiments.fleet import (
     FleetConfig,
     FleetResult,
     _simulate_shard_to_dict,
-    _usable,
     fleet_shard_key,
     shard_from_dict,
     shard_to_dict,
@@ -146,20 +145,15 @@ class ServiceConfig:
             raise ValueError(
                 f"pool_workers must be >= 0, got {self.pool_workers}"
             )
-        if self.vendor_rate_hz <= 0:
-            raise ValueError(
-                f"vendor refill rate must be positive, got {self.vendor_rate_hz}"
-            )
-        if self.vendor_burst <= 0:
-            raise ValueError(
-                f"vendor burst must be positive, got {self.vendor_burst}"
-            )
+        # Vendors' buckets are built on first use; building one here
+        # applies their bounds up front.
+        TokenBucket(self.vendor_rate_hz, self.vendor_burst)
         for name in (
             "shard_service_time_s", "poc_service_time_s", "probe_service_time_s"
         ):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 class _Backlog(deque):
@@ -182,7 +176,7 @@ class _CountingCache:
     """The service's shard-result lookups in an optional ``ResultCache``.
 
     A missing entry is a miss, and so is one that ``get_data`` drops as
-    damaged under the fleet codec's shape check.  ``hits_memory``
+    damaged because its digest does not match.  ``hits_memory``
     stays, always 0, because ``perfbench/client.py`` sums it with
     ``hits_disk`` and ``misses`` and the benchmark's files are kept
     unchanged so that runs of old and new revisions compare.
@@ -197,7 +191,7 @@ class _CountingCache:
         self.misses = 0
 
     def get(self, key: str) -> dict | None:
-        data = self.disk.get_data(key, _usable) if self.disk is not None else None
+        data = self.disk.get_data(key) if self.disk is not None else None
         if data is not None:
             self.hits_disk += 1
             self.metrics.counter("service.cache.hit", tier="disk").inc()

@@ -1,5 +1,7 @@
 """Handover mobility loss and SLA middlebox drops (loss classes 2 & 5)."""
 
+import math
+
 import pytest
 
 from repro.cellular import (
@@ -29,6 +31,12 @@ def dl(size=1000, created_at=0.0):
 
 
 class TestHandover:
+    @pytest.mark.parametrize("field", ["interval_s", "interruption_s"])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_times(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HandoverConfig(**{field: value})
+
     def _with_handovers(self, x2=False, interval=5.0, seed=2):
         loop, net, access, delivered = build_network(seed)
         ue = net.enodeb.ue(str(access.imsi))

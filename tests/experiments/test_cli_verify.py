@@ -70,6 +70,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "cannot load keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "0"])
+    def test_unusable_cycle_length_is_usage_error(self, audit_setup, capsys, seconds):
+        ledger, edge_pub, operator_pub = audit_setup
+        code = main([
+            "verify", str(ledger),
+            "--edge-key", str(edge_pub),
+            "--operator-key", str(operator_pub),
+            "--cycle-seconds", seconds,
+        ])
+        assert code == 2
+        assert "cycle duration must be positive and finite" in capsys.readouterr().err
+
     def test_wrong_cycle_length_rejects_ledger(self, audit_setup, capsys):
         ledger, edge_pub, operator_pub = audit_setup
         code = main([

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.experiments.fleet import (
     FleetAccumulator,
     FleetConfig,
     _simulate_shard_to_dict,
-    _usable,
     assign_ues,
     build_shards,
     fleet_shard_key,
@@ -23,6 +23,8 @@ from repro.experiments.fleet import (
 )
 from repro.experiments.fleet_runner import simulate_shard
 from repro.experiments.parallel import ResultCache, RunReport
+
+from .test_parallel import flip_digit, rewrite_payload
 
 # Small and cheap: 8 UEs, two 10 s cycles.  Archetype draws at this seed
 # cover several workloads; everything downstream is deterministic.
@@ -59,9 +61,16 @@ class TestConfig:
             ("n_cycles", 0, "at least one cycle"),
             ("cycle_duration_s", 0.0, "cycle duration must be positive"),
             ("cycle_duration_s", -30.0, "cycle duration must be positive"),
+            ("cycle_duration_s", math.nan, "cycle duration must be positive and finite"),
+            ("cycle_duration_s", math.inf, "cycle duration must be positive and finite"),
             ("outage_eta", 0.0, r"eta must be in \(0, 1\)"),
             ("outage_eta", 1.5, r"eta must be in \(0, 1\)"),
             ("handover_interval_s", 0.0, "handover interval"),
+            ("handover_interval_s", math.nan, "positive and finite"),
+            ("handover_interval_s", math.inf, "positive and finite"),
+            ("zipf_s", math.nan, "zipf exponent must be finite"),
+            ("zipf_s", math.inf, "zipf exponent must be finite"),
+            ("zipf_s", -math.inf, "zipf exponent must be finite"),
             ("quota_bytes", 0, "quota must be positive"),
             ("quota_bytes", -5, "quota must be positive"),
         ],
@@ -319,12 +328,12 @@ class TestRunFleet:
         cache = ResultCache(tmp_path / "cache")
         reference = run_fleet(FAST, workers=0, cache=cache)
         key = fleet_shard_key(build_shards(FAST)[2])
-        cache.put_data(key, {"version": FLEET_CODEC_VERSION, "shard_index": 2})
+        rewrite_payload(cache, key, {"version": FLEET_CODEC_VERSION, "shard_index": 2})
         report = RunReport()
         result = run_fleet(FAST, workers=2, cache=cache, report=report)
         assert (report.simulated, report.cached) == (1, 3)
         assert aggregate_json(result) == aggregate_json(reference)
-        assert cache.get_data(key, _usable)["ues"]  # re-published whole
+        assert cache.get_data(key)["ues"]  # re-published whole
 
     @pytest.mark.parametrize(
         "damage",
@@ -340,13 +349,36 @@ class TestRunFleet:
         cache = ResultCache(tmp_path / "cache")
         reference = run_fleet(FAST, workers=0, cache=cache)
         key = fleet_shard_key(build_shards(FAST)[2])
-        entry = cache.get_data(key, _usable)
-        cache.put_data(key, {**entry, "ues": [damage(row) for row in entry["ues"]]})
+        entry = cache.get_data(key)
+        rewrite_payload(cache, key, {**entry, "ues": [damage(row) for row in entry["ues"]]})
         report = RunReport()
         result = run_fleet(FAST, workers=0, cache=cache, report=report)
         assert (report.simulated, report.cached) == (1, 3)
         assert aggregate_json(result) == aggregate_json(reference)
-        assert cache.get_data(key, _usable) == entry  # re-published whole
+        assert cache.get_data(key) == entry  # re-published whole
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda cache, key: flip_digit(cache.path_for_key(key), "mean_gap_mb_hr"),
+            lambda cache, key: rewrite_payload(
+                cache, key, {**cache.get_data(key), "metrics": {"counters": ["x"]}}
+            ),
+        ],
+        ids=["flipped-gap-digit", "damaged-metrics"],
+    )
+    def test_entry_damaged_under_its_digest_is_dropped(self, tmp_path, damage):
+        fleet = FleetConfig(ues=2, shard_size=2, seed=3, n_cycles=1, cycle_duration_s=5.0)
+        cache = ResultCache(tmp_path / "cache")
+        reference = run_fleet(fleet, workers=0, cache=cache)
+        key = fleet_shard_key(build_shards(fleet)[0])
+        entry = cache.get_data(key)
+        damage(cache, key)
+        report = RunReport()
+        result = run_fleet(fleet, workers=0, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 0)
+        assert aggregate_json(result) == aggregate_json(reference)
+        assert cache.get_data(key) == entry  # re-published whole
 
     def test_shard_size_one_and_uneven_tail(self):
         """Populations that don't divide evenly still cover every UE."""

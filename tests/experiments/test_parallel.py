@@ -1,6 +1,8 @@
 """Parallel scenario engine: codec, cache, and serial/parallel identity."""
 
+import hashlib
 import json
+import re
 import threading
 
 import pytest
@@ -19,7 +21,7 @@ from repro.experiments.parallel import (
     scenario_key,
 )
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenarios import GAMING_DL, WEBCAM_RTSP_UL
+from repro.experiments.scenarios import GAMING_DL, VRIDGE_DL, WEBCAM_RTSP_UL, WEBCAM_UDP_UL
 
 # Short, cheap scenarios: the gaming workload is ~20 kbps, so even four
 # of these simulate in a couple of seconds.
@@ -39,6 +41,22 @@ DAMAGED = {
     "damaged-row": lambda entry: {**entry, "usages": [{}]},
     "wrong-type": lambda entry: {**entry, "metrics": 5},
 }
+
+
+def rewrite_payload(cache: ResultCache, key: str, payload: dict) -> None:
+    """Damage an entry in place: a new payload under the published digest."""
+    path = cache.path_for_key(key)
+    digest = json.loads(path.read_bytes())["sha256"]
+    path.write_text(json.dumps({"sha256": digest, **payload}, separators=(",", ":")))
+
+
+def flip_digit(path, field: str) -> None:
+    """Change the first digit after ``field``'s name in a cache file (never
+    to a leading 0, so the file still parses)."""
+    raw = path.read_bytes()
+    at = re.compile(rb'"%s":\D*(\d)' % field.encode()).search(raw).start(1)
+    flipped = b"2" if raw[at : at + 1] == b"1" else b"1"
+    path.write_bytes(raw[:at] + flipped + raw[at + 1 :])
 
 
 def outcome_volumes(result):
@@ -157,7 +175,7 @@ class TestResultCache:
         run_scenarios(FAST[:1], workers=0, cache=cache)
         key = scenario_key(FAST[0])
         entry = cache.get_data(key)
-        cache.put_data(key, damage(entry))
+        rewrite_payload(cache, key, damage(entry))
         report = RunReport()
         (result,) = run_scenarios(FAST[:1], workers=2, cache=cache, report=report)
         assert (report.simulated, report.cached) == (1, 0)
@@ -192,12 +210,70 @@ class TestResultCache:
         leftovers = list((tmp_path / "cache").glob("*.tmp"))
         assert leftovers == []
 
-    def test_get_data_drops_entries_the_check_rejects(self, tmp_path):
+    def test_entry_with_one_byte_changed_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put_data("k", {"ok": 1})
-        assert cache.get_data("k", lambda data: data["ok"] == 1) == {"ok": 1}
-        assert cache.get_data("k", lambda data: False) is None
-        assert not cache.has("k")
+        raw = cache.put_data("k", {"ok": 1, "rows": [0.5]}).read_bytes()
+        for at in range(len(raw)):
+            cache.path_for_key("k").write_bytes(
+                raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :]
+            )
+            assert cache.get_data("k") is None, at
+            assert not cache.has("k")
+        cache.path_for_key("k").write_bytes(raw)
+        assert cache.get_data("k") == {"ok": 1, "rows": [0.5]}
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        # The digest covers the key, then every byte after the digest member.
+        cache = ResultCache(tmp_path)
+        digest = hashlib.sha256(b'k,"ok":1}').hexdigest().encode()
+        assert cache.put_data("k", {"ok": 1}).read_bytes() == (
+            b'{"sha256":"' + digest + b'","ok":1}'
+        )
+        digest = hashlib.sha256(b"e}").hexdigest().encode()
+        assert cache.put_data("e", {}).read_bytes() == b'{"sha256":"' + digest + b'"}'
+        assert cache.get_data("e") == {}
+        with pytest.raises(ValueError, match="'sha256' member"):
+            cache.put_data("s", {"sha256": "x"})
+
+    def test_entry_written_without_a_digest_is_resimulated_once(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_scenarios(FAST[:1], workers=0, cache=cache)
+        key = scenario_key(FAST[0])
+        entry = cache.get_data(key)
+        # The layout of an entry published before entries carried a digest.
+        cache.path_for_key(key).write_text(json.dumps(entry, separators=(",", ":")))
+        report = RunReport()
+        for _ in range(2):
+            run_scenarios(FAST[:1], workers=0, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 1)
+        assert cache.get_data(key) == entry
+
+    def test_flipped_result_digit_is_resimulated(self, tmp_path):
+        config = WEBCAM_UDP_UL.with_(n_cycles=1, cycle_duration_s=5.0)
+        cache = ResultCache(tmp_path / "cache")
+        (clean,) = run_scenarios([config], workers=0, cache=cache)
+        key = scenario_key(config)
+        entry = cache.get_data(key)
+        flip_digit(cache.path_for_key(key), "true_sent")
+        report = RunReport()
+        (result,) = run_scenarios([config], workers=0, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 0)
+        assert result.usages == clean.usages
+        assert cache.get_data(key) == entry  # re-published whole
+
+    def test_entry_filed_under_another_key_is_resimulated(self, tmp_path):
+        webcam, vridge = (
+            c.with_(n_cycles=1, cycle_duration_s=5.0) for c in (WEBCAM_UDP_UL, VRIDGE_DL)
+        )
+        cache = ResultCache(tmp_path / "cache")
+        clean = run_scenarios([webcam, vridge], workers=0, cache=cache)
+        moved = cache.path_for_key(scenario_key(webcam)).read_bytes()
+        cache.path_for_key(scenario_key(vridge)).write_bytes(moved)
+        report = RunReport()
+        results = run_scenarios([webcam, vridge], workers=0, cache=cache, report=report)
+        assert (report.simulated, report.cached) == (1, 1)
+        assert [r.config for r in results] == [webcam, vridge]
+        assert [r.usages for r in results] == [r.usages for r in clean]
 
     def test_get_data_drops_non_dict_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -13,7 +13,7 @@ def _no_env_engine(monkeypatch):
     for var in ("REPRO_WORKERS", "REPRO_CACHE_DIR", "REPRO_FAULT_PROFILE"):
         monkeypatch.delenv(var, raising=False)
     # main() configures the process-wide engine; later tests get it back.
-    for name in ("_default_workers", "_default_cache", "_default_faults"):
+    for name in ("_default_workers", "_default_cache", "_default_faults", "_from_env"):
         monkeypatch.setattr(parallel, name, getattr(parallel, name))
 
 
@@ -67,6 +67,15 @@ class TestServe:
         )
         assert code == 2
         assert "cycle duration must be positive" in capsys.readouterr().err
+
+    def test_non_finite_vendor_burst_is_usage_error(self, tmp_path, capsys):
+        # A NaN burst used to turn claims away as rate-limited, and drop some.
+        code = main(
+            ["serve", *FLEET_ARGS, "--cycles", "1", "--cycle-seconds", "2",
+             "--vendor-burst", "nan", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "burst capacity must be positive and finite, got nan" in capsys.readouterr().err
 
 
 class TestFleetViaService:

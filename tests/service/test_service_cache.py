@@ -1,11 +1,10 @@
 """The service's result cache: what counts as a hit, and what resume writes.
 
 The service looks shard results up in the batch engine's
-content-addressed ``ResultCache``.  An entry that does not decode as a
-shard result is dropped and read as a miss (the re-simulated result is
-published in its place),
-and resuming a killed service rebuilds its fold from the journal alone,
-writing nothing to the cache.
+content-addressed ``ResultCache``.  An entry whose bytes do not match its
+digest is dropped and read as a miss (the re-simulated result is
+published in its place), and resuming a killed service rebuilds its fold
+from the journal alone, writing nothing to the cache.
 """
 
 import json
@@ -13,7 +12,6 @@ import json
 from repro.experiments.fleet import (
     FleetConfig,
     _simulate_shard_to_dict,
-    _usable,
     build_shards,
     fleet_shard_key,
     shard_to_dict,
@@ -26,6 +24,8 @@ from repro.service import (
     replay_fleet,
     resume_fleet_replay,
 )
+
+from ..experiments.test_parallel import flip_digit, rewrite_payload
 
 FLEET = FleetConfig(ues=16, shard_size=2, seed=5, n_cycles=1, cycle_duration_s=10.0)
 REPLAY = ReplayConfig(duration_s=30.0)
@@ -54,7 +54,8 @@ class TestUnusableEntries:
         (shard,) = build_shards(fleet)
         key = fleet_shard_key(shard)
         store = ResultCache(tmp_path)
-        store.put_data(key, {"version": 0})  # parses, but is no shard result
+        store.put_data(key, {"version": 1})
+        rewrite_payload(store, key, {"version": 0})  # parses, but is no shard result
 
         service = ReconciliationService(disk_cache=store)
         service.start()
@@ -68,7 +69,7 @@ class TestUnusableEntries:
         counters = service.metrics.snapshot().counters
         assert "service.cache.hit{tier=disk}" not in counters
         assert counters["service.cache.miss"] == 1
-        assert store.get_data(key, _usable) is not None
+        assert store.get_data(key) is not None
 
         # The rewritten entry now serves a second service as a hit.
         again = ReconciliationService(disk_cache=store)
@@ -84,7 +85,8 @@ class TestUnusableEntries:
         key = fleet_shard_key(shard)
         store = ResultCache(tmp_path)
         good = _simulate_shard_to_dict(shard_to_dict(shard))
-        store.put_data(key, {**good, "ues": [{}]})  # passes the top-level shape
+        store.put_data(key, good)
+        rewrite_payload(store, key, {**good, "ues": [{}]})  # passes the top-level shape
 
         service = ReconciliationService(disk_cache=store)
         service.start()
@@ -96,7 +98,25 @@ class TestUnusableEntries:
         assert service.rejections == {}
         assert service.report.simulated == 1
         assert (service.cache.hits_disk, service.cache.misses) == (0, 1)
-        assert store.get_data(key, _usable) == good
+        assert store.get_data(key) == good
+
+    def test_flipped_digit_is_a_miss_and_the_ledger_is_clean(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        clean = tmp_path / "clean.jsonl"
+        replay_fleet(FLEET, REPLAY, disk_cache=store, ledger=SettlementLedger(clean))
+        key = fleet_shard_key(build_shards(FLEET)[3])
+        good = store.get_data(key)
+        flip_digit(store.path_for_key(key), "mean_gap_mb_hr")
+
+        again = tmp_path / "again.jsonl"
+        _, stats, service = replay_fleet(
+            FLEET, REPLAY, disk_cache=store, ledger=SettlementLedger(again)
+        )
+        assert stats.dropped == 0
+        assert (service.report.simulated, service.report.cached) == (1, 7)
+        assert service.metrics.snapshot().counters["service.cache.miss"] == 1
+        assert store.get_data(key) == good  # re-published whole
+        assert settlement_view(again) == settlement_view(clean)
 
 
 class TestResumeWritesNoCache:

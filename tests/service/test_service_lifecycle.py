@@ -8,10 +8,11 @@ Each class here pins a bug that used to be latent:
 * ``SettlementLedger.write()`` after ``close()`` kept appending to the
   in-memory view while the file handle silently dropped the line, so
   memory and disk diverged;
-* ``ServiceConfig`` accepted zero/negative vendor rates, bursts and
-  service times, deferring the blow-up to deep inside a worker;
-  ``ReplayConfig`` must reject a non-positive duration or no vendors
-  before a replay starts;
+* ``ServiceConfig`` accepted zero/negative (and, later, NaN or
+  infinite) vendor rates, bursts and service times, deferring the
+  blow-up to deep inside a worker; ``ReplayConfig`` must reject a
+  non-positive or non-finite duration or no vendors before a replay
+  starts;
 * ``submit()`` handed a claim to an idle worker before journalling its
   admission, so a synchronous rejection wrote ``unclaimed`` ahead of
   ``accepted`` and left a stale ingest timestamp behind.
@@ -26,6 +27,8 @@ gives back: an ``internal-error`` used to keep its ref claimed, so every
 retry was rejected ``duplicate`` while a service resumed from the same
 journal settled it.
 """
+
+import math
 
 import pytest
 
@@ -120,6 +123,14 @@ class TestServiceConfigValidation:
             {"shard_service_time_s": -0.05},
             {"poc_service_time_s": -1e-9},
             {"probe_service_time_s": -2.0},
+            *(
+                {name: value}
+                for name in (
+                    "vendor_rate_hz", "vendor_burst", "shard_service_time_s",
+                    "poc_service_time_s", "probe_service_time_s",
+                )
+                for value in (math.nan, math.inf)
+            ),
         ],
     )
     def test_invalid_config_rejected_up_front(self, kwargs):
@@ -141,6 +152,8 @@ class TestReplayConfigValidation:
             {"duration_s": 0.0},
             {"duration_s": -1.0},
             {"vendors": 0},
+            {"duration_s": math.nan},
+            {"duration_s": math.inf},
         ],
     )
     def test_invalid_config_rejected_up_front(self, kwargs):
